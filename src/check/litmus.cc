@@ -4,7 +4,6 @@
 #include <memory>
 
 #include "sim/logging.h"
-#include "sim/parallel_engine.h"
 #include "sim/rng.h"
 #include "system/chip.h"
 
@@ -30,61 +29,29 @@ runLitmus(const LitmusProgram &prog, const LitmusRunOptions &opt)
 {
     LitmusResult res;
 
-    // The parallel engine gives every chip its own event queue;
-    // FaultState is one shared mutable blob, so fault runs stay
-    // serial.
-    const bool parallel =
-        opt.parallel && opt.fault == ProtocolFault::None;
-    if (opt.parallel && !parallel)
-        warn("litmus '%s': seeded faults are serial-only; ignoring "
-             "the parallel option",
-             prog.name.c_str());
-
     FaultState faults;
     faults.kind = opt.fault;
 
-    EventQueue eq; // the single serial universe (idle when parallel)
-    std::vector<std::unique_ptr<EventQueue>> qs;
-    if (parallel)
-        for (unsigned n = 0; n < prog.nodes; ++n)
-            qs.push_back(std::make_unique<EventQueue>());
-    auto queueFor = [&](unsigned n) -> EventQueue & {
-        return parallel ? *qs[n] : eq;
-    };
-    auto now = [&]() -> Tick {
-        Tick t = eq.curTick();
-        for (const auto &q : qs)
-            t = std::max(t, q->curTick());
-        return t;
-    };
-
-    // Serial runs keep the single shared tracer (ring order = exact
-    // global execution order); parallel runs need one per chip and
-    // merge canonically at the end.
-    std::vector<std::unique_ptr<CoherenceTracer>> tracers;
-    for (unsigned n = 0; n < (parallel ? prog.nodes : 1); ++n)
-        tracers.push_back(
-            std::make_unique<CoherenceTracer>(opt.traceCapacity));
-    auto tracerFor = [&](unsigned node) -> CoherenceTracer & {
-        return *tracers[parallel ? node : 0];
-    };
+    // One event queue and one tracer for the whole system: the ring's
+    // order is the exact global execution order.
+    EventQueue eq;
+    CoherenceTracer tracer(opt.traceCapacity);
 
     AddressMap amap;
     amap.numNodes = prog.nodes;
     std::unique_ptr<Network> net;
     if (prog.nodes > 1)
-        net = std::make_unique<Network>(queueFor(0), "net");
+        net = std::make_unique<Network>(eq, "net");
 
     ChipParams params;
     params.cpus = prog.cpusPerChip;
     params.faults = &faults;
+    params.tracer = &tracer;
     std::vector<std::unique_ptr<PiranhaChip>> chips;
     for (unsigned n = 0; n < prog.nodes; ++n) {
-        ChipParams chip_params = params;
-        chip_params.tracer = &tracerFor(n);
         chips.push_back(std::make_unique<PiranhaChip>(
-            queueFor(n), strFormat("node%u", n), static_cast<NodeId>(n),
-            amap, chip_params, net.get()));
+            eq, strFormat("node%u", n), static_cast<NodeId>(n), amap,
+            params, net.get()));
     }
     if (net) {
         for (unsigned n = 0; n < prog.nodes; ++n) {
@@ -94,48 +61,6 @@ runLitmus(const LitmusProgram &prog, const LitmusRunOptions &opt)
         }
         Network::buildFullyConnected(*net);
     }
-
-    // Shard layout + fabric (parallel only; serial litmus keeps the
-    // legacy direct-delivery network path).
-    const unsigned shards =
-        parallel ? std::min(opt.shards ? opt.shards : prog.nodes,
-                            prog.nodes)
-                 : 1;
-    std::vector<unsigned> shardOf(prog.nodes, 0);
-    for (unsigned n = 0; parallel && n < prog.nodes; ++n)
-        shardOf[n] = n * shards / prog.nodes;
-    std::unique_ptr<NetFabric> fabric;
-    if (parallel && net) {
-        std::vector<EventQueue *> queue_ptrs;
-        for (auto &q : qs)
-            queue_ptrs.push_back(q.get());
-        fabric = std::make_unique<NetFabric>();
-        Network *np = net.get();
-        fabric->configure(
-            std::move(queue_ptrs), shardOf, shards,
-            [np](NetPacket &&p, NodeId at, Tick injected) {
-                np->arriveAt(std::move(p), at, injected);
-            },
-            nullptr);
-        net->setFabric(fabric.get());
-    }
-
-    // Drive all queues until quiescence or @p deadline; returns true
-    // when everything drained.
-    auto runAll = [&](Tick deadline) -> bool {
-        if (!parallel)
-            return eq.run(deadline);
-        ShardPlan plan;
-        for (auto &q : qs)
-            plan.queues.push_back(q.get());
-        plan.shardOf = shardOf;
-        plan.shards = shards;
-        plan.fabric = fabric.get();
-        plan.lookahead = net ? net->minCrossLatency() : ~Tick(0);
-        plan.deadline = deadline;
-        ParallelEngine engine(std::move(plan));
-        return !engine.run().deadlineHit;
-    };
 
     // Materialize each logical line in its own page so line i can be
     // homed at node (i % nodes) regardless of the interleaving.
@@ -166,7 +91,7 @@ runLitmus(const LitmusProgram &prog, const LitmusRunOptions &opt)
                     v = prog.init[l];
             if (v)
                 chips[amap.home(a)]->memory().poke64(a, v);
-            tracerFor(amap.home(a)).init(a, 8, v);
+            tracer.init(a, 8, v);
         }
     }
 
@@ -196,32 +121,21 @@ runLitmus(const LitmusProgram &prog, const LitmusRunOptions &opt)
             req, [&, t, is_load](const MemRsp &r) {
                 if (is_load)
                     res.outcome.loads[t].push_back(r.value);
-                queueFor(prog.threads[t].node)
-                    .scheduleIn(gap(t), [&, t] { issueNext(t); });
+                eq.scheduleIn(gap(t), [&, t] { issueNext(t); });
             });
     };
     for (std::size_t t = 0; t < prog.threads.size(); ++t) {
         ctx[t].rng = Pcg32(opt.seed, 0x9e3779b9u + t);
-        queueFor(prog.threads[t].node)
-            .scheduleIn(gap(t), [&, t] { issueNext(t); });
+        eq.scheduleIn(gap(t), [&, t] { issueNext(t); });
     }
 
-    bool drained = runAll(now() + runCapTicks);
+    bool drained = eq.run(eq.curTick() + runCapTicks);
     bool all_done = drained;
     for (const auto &c : ctx)
         all_done = all_done && c.done;
 
     // Everything has settled: every cached copy must now be current.
-    // Serial runs insert the marker in ring order; parallel runs note
-    // the boundary per chip and splice one global marker in when the
-    // canonical trace is assembled below.
-    const Tick settledTick = now();
-    std::vector<std::size_t> settledCount(tracers.size());
-    if (parallel)
-        for (std::size_t i = 0; i < tracers.size(); ++i)
-            settledCount[i] = tracers[i]->events().size();
-    else
-        tracerFor(0).mark(settledTick, markerSettled);
+    tracer.mark(eq.curTick(), markerSettled);
 
     // Read the final state back through every CPU so the settled-
     // recency axiom covers each cache, not just the last writer's.
@@ -238,13 +152,8 @@ runLitmus(const LitmusProgram &prog, const LitmusRunOptions &opt)
                     v = r.value;
                     done = true;
                 });
-                if (parallel) {
-                    if (!done)
-                        runAll(now() + runCapTicks);
-                } else {
-                    std::uint64_t budget = 2'000'000;
-                    while (!done && budget-- && eq.step()) {
-                    }
+                std::uint64_t budget = 2'000'000;
+                while (!done && budget-- && eq.step()) {
                 }
                 if (!done) {
                     reads_ok = false;
@@ -254,41 +163,11 @@ runLitmus(const LitmusProgram &prog, const LitmusRunOptions &opt)
             }
         }
     }
-    runAll(now() + runCapTicks);
+    eq.run(eq.curTick() + runCapTicks);
 
     res.completed = all_done && reads_ok;
-    if (parallel) {
-        // Canonical trace: pre-settle events of every chip in (tick,
-        // node, record-order) order, one global settled marker, then
-        // the readback events in the same order.
-        std::vector<std::vector<TraceEvent>> prefix(tracers.size());
-        std::vector<std::vector<TraceEvent>> suffix(tracers.size());
-        for (std::size_t i = 0; i < tracers.size(); ++i) {
-            std::vector<TraceEvent> ev = tracers[i]->events();
-            prefix[i].assign(ev.begin(),
-                             ev.begin() +
-                                 static_cast<std::ptrdiff_t>(
-                                     settledCount[i]));
-            suffix[i].assign(ev.begin() +
-                                 static_cast<std::ptrdiff_t>(
-                                     settledCount[i]),
-                             ev.end());
-        }
-        res.trace = mergeShardTraces(prefix);
-        TraceEvent marker;
-        marker.tick = settledTick;
-        marker.kind = TraceKind::Marker;
-        marker.value = markerSettled;
-        res.trace.push_back(marker);
-        std::vector<TraceEvent> tail = mergeShardTraces(suffix);
-        res.trace.insert(res.trace.end(), tail.begin(), tail.end());
-    } else {
-        res.trace = tracerFor(0).events();
-    }
-    std::uint64_t dropped = 0;
-    for (const auto &t : tracers)
-        dropped += t->dropped();
-    res.report = checkCoherence(res.trace, dropped);
+    res.trace = tracer.events();
+    res.report = checkCoherence(res.trace, tracer.dropped());
     res.faultFires = faults.fires;
     if (prog.forbidden && res.completed)
         res.forbiddenHit = prog.forbidden(res.outcome);

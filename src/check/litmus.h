@@ -91,13 +91,6 @@ struct LitmusRunOptions
     ProtocolFault fault = ProtocolFault::None;
     unsigned maxDelayCycles = 40;   //!< max random gap between ops
     std::size_t traceCapacity = std::size_t(1) << 18;
-    /** Run under the parallel engine (DESIGN.md §13): one event queue
-     *  per chip, cross-chip traffic through the deterministic fabric,
-     *  every phase driven to quiescence by worker threads. Ignored
-     *  (with a warning) when a fault is seeded: FaultState is shared
-     *  across chips. */
-    bool parallel = false;
-    unsigned shards = 0; //!< parallel worker count; 0 = one per chip
 };
 
 struct LitmusResult

@@ -20,7 +20,6 @@
 #ifndef PIRANHA_CHECK_TRACE_H
 #define PIRANHA_CHECK_TRACE_H
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -131,33 +130,6 @@ class CoherenceTracer
     std::vector<TraceEvent> _ring;
     std::uint64_t _recorded = 0;
 };
-
-/**
- * Merge per-chip trace streams (parts[n] = chip n's events, oldest
- * first) into canonical order: ascending tick, ties broken by node,
- * further ties by each chip's own record order. This is the
- * engine-independent linearization used to compare serial and
- * parallel runs (DESIGN.md §13): same-tick events on different chips
- * are causally unordered because every cross-chip interaction spans
- * nonzero latency, so any tie-break is a valid execution order — this
- * one is just deterministic.
- */
-inline std::vector<TraceEvent>
-mergeShardTraces(const std::vector<std::vector<TraceEvent>> &parts)
-{
-    std::vector<TraceEvent> out;
-    std::size_t total = 0;
-    for (const auto &p : parts)
-        total += p.size();
-    out.reserve(total);
-    for (const auto &p : parts)
-        out.insert(out.end(), p.begin(), p.end());
-    std::stable_sort(out.begin(), out.end(),
-                     [](const TraceEvent &a, const TraceEvent &b) {
-                         return a.tick < b.tick;
-                     });
-    return out;
-}
 
 /**
  * Hook macro used at every instrumentation point in the memory

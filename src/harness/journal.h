@@ -43,8 +43,13 @@ std::uint64_t fnv1a64(const void *data, std::size_t len);
 class JobJournal
 {
   public:
-    /** Current journal format version (H record "version"). */
-    static constexpr unsigned kVersion = 1;
+    /**
+     * Current journal format version (H record "version"). Version 2
+     * dropped the `events_equivalent` stat and the `engine_fallback`
+     * flag from job results; a version-1 journal is refused rather
+     * than resumed into a report that mixes the two schemas.
+     */
+    static constexpr unsigned kVersion = 2;
 
     /** What load() recovered from an existing journal. */
     struct Recovery

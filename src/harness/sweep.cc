@@ -97,10 +97,6 @@ flattenRunResult(const RunResult &r)
     m["miss_mem_remote"] = r.misses.memRemote;
     m["miss_remote_dirty"] = r.misses.remoteDirty;
     m["events_executed"] = static_cast<double>(r.eventsExecuted);
-    // Engine- and datapath-invariant event count (kernel events +
-    // inline fast-path hits): identical across serial/parallel
-    // engines and any shard count, so it stays in the comparable map.
-    m["events_equivalent"] = static_cast<double>(r.eventsEquivalent);
     return m;
 }
 
@@ -154,8 +150,6 @@ jobResultToJson(const JobResult &j, bool include_stat_tree)
         jo.set("resumed", true);
     if (j.transient)
         jo.set("transient", true);
-    if (j.run.engineFallback)
-        jo.set("engine_fallback", true);
     if (!j.crashReport.empty())
         jo.set("crash_report", j.crashReport);
     if (j.status == JobStatus::Ok) {
@@ -220,7 +214,6 @@ jobResultFromJson(const JsonValue &v)
     j.exitClass = str("exit_class");
     j.leakedWorker = flag("leaked_worker");
     j.transient = flag("transient");
-    j.run.engineFallback = flag("engine_fallback");
     j.crashReport = str("crash_report");
     // "resumed" is a property of the run that loaded the journal, not
     // of the recorded result — the loader sets fromJournal itself.
@@ -231,10 +224,6 @@ jobResultFromJson(const JsonValue &v)
         auto it = j.stats.find("events_executed");
         if (it != j.stats.end())
             j.run.eventsExecuted =
-                static_cast<std::uint64_t>(it->second);
-        it = j.stats.find("events_equivalent");
-        if (it != j.stats.end())
-            j.run.eventsEquivalent =
                 static_cast<std::uint64_t>(it->second);
     }
     if (const JsonValue *fp = v.find("fastpath"); fp && fp->isObject()) {

@@ -104,14 +104,7 @@ SweepRunner::runJobOnce(const SweepPoint &pt, bool &transient) const
         std::unique_ptr<Workload> wl = pt.workload.make();
         if (!wl)
             throw std::runtime_error("workload factory returned null");
-        SystemConfig cfg = pt.config;
-        if (_opts.engine == EngineKind::Parallel) {
-            cfg.engine = EngineKind::Parallel;
-            cfg.shards = _opts.engineShards;
-        }
-        if (_opts.drainStop)
-            cfg.drainStop = true;
-        PiranhaSystem sys(cfg);
+        PiranhaSystem sys(pt.config);
         // In a process-tier worker, a crash from here on dumps this
         // system's diagnostics into the PJX1 crash report.
         CrashDumpScope crash_scope(&sys);

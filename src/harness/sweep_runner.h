@@ -115,23 +115,6 @@ struct SweepOptions
      */
     const std::atomic<bool> *cancel = nullptr;
 
-    /**
-     * Intra-run engine applied to every simulation point (orthogonal
-     * to the sweep's own host-thread pool): Parallel gives each job
-     * per-chip event queues driven by worker threads (DESIGN.md §13).
-     * Custom points (litmus) are unaffected.
-     */
-    EngineKind engine = EngineKind::Serial;
-    unsigned engineShards = 0; //!< parallel workers; 0 = one per chip
-
-    /**
-     * Force SystemConfig::drainStop on every simulation point. The
-     * parallel engine always runs to quiescence, so a serial pass
-     * meant to be compared against a parallel one (sweep --verify
-     * --engine parallel) must drain too.
-     */
-    bool drainStop = false;
-
     /** Execution tier (see ExecTier). Thread stays the default so
      *  existing tests and callers are byte-for-byte unaffected. */
     ExecTier exec = ExecTier::Thread;

@@ -44,53 +44,6 @@ Network::addNode(NodeId node, NetDeliverFn deliver, unsigned channels)
 }
 
 void
-Network::setFabric(NetFabric *f)
-{
-    _fabric = f;
-    _nodeStats.clear();
-    if (_fabric) {
-        _nodeStats.resize(_fabric->numNodes());
-        for (NodeStats &s : _nodeStats)
-            s.latency = Histogram{50.0, 64};
-    }
-}
-
-Tick
-Network::minCrossLatency() const
-{
-    // A handoff computed at tick t arrives no earlier than
-    // t + occupancy(short) + link flight; occupancy can only grow with
-    // backlog or packet length.
-    return icCycles(2) + nsToTicks(_p.linkNs);
-}
-
-EventQueue &
-Network::eqFor(NodeId n)
-{
-    return _fabric ? _fabric->queueFor(n) : eventQueue();
-}
-
-void
-Network::mergeShardedStats()
-{
-    for (NodeId n = 0; n < _nodeStats.size(); ++n) {
-        NodeStats &s = _nodeStats[n];
-        statPackets += s.packets;
-        statLongPackets += s.longPackets;
-        statHops += s.hops;
-        statMisroutes += s.misroutes;
-        statLatency.merge(s.latency);
-        s = NodeStats{};
-    }
-}
-
-void
-Network::arriveAt(NetPacket &&pkt, NodeId at, Tick injected)
-{
-    hop(std::move(pkt), at, injected);
-}
-
-void
 Network::connect(NodeId a, NodeId b)
 {
     Node &na = _nodes.at(a);
@@ -139,33 +92,25 @@ Network::inject(NetPacket pkt)
         return;
 #endif
     NodeId src = pkt.src;
-    EventQueue &q = eqFor(src);
-    if (_fabric) {
-        NodeStats &s = _nodeStats[src];
-        ++s.packets;
-        if (pkt.isLong())
-            ++s.longPackets;
-    } else {
-        ++statPackets;
-        if (pkt.isLong())
-            ++statLongPackets;
-    }
-    Tick injected = q.curTick();
+    ++statPackets;
+    if (pkt.isLong())
+        ++statLongPackets;
+    Tick injected = curTick();
     // Output-queue fall-through (single cycle when the router is
     // ready; transit traffic has priority, modeled in channel
     // backlog).
-    q.schedule(injected + nsToTicks(_p.oqNs),
-               [this, pkt = std::move(pkt), src, injected]() mutable {
-                   hop(std::move(pkt), src, injected);
-               });
+    eventQueue().schedule(
+        injected + nsToTicks(_p.oqNs),
+        [this, pkt = std::move(pkt), src, injected]() mutable {
+            hop(std::move(pkt), src, injected);
+        });
 }
 
 void
 Network::hop(NetPacket pkt, NodeId at, Tick injected)
 {
     Node &node = _nodes.at(at);
-    EventQueue &q = eqFor(at);
-    Tick now = q.curTick();
+    Tick now = curTick();
     if (pkt.dst == at) {
 #if PIRANHA_FAULT_INJECT
         // Receiver-side duplicate filter: hardware interfaces drop a
@@ -176,16 +121,12 @@ Network::hop(NetPacket pkt, NodeId at, Tick injected)
 #endif
         // Input queue: interpret the type field through the
         // disposition vector and hand to the target module.
-        double lat = static_cast<double>(now - injected) /
-                     static_cast<double>(ticksPerNs);
-        if (_fabric)
-            _nodeStats[at].latency.sample(lat);
-        else
-            statLatency.sample(lat);
-        q.schedule(now + nsToTicks(_p.iqNs),
-                   [fn = node.deliver, pkt = std::move(pkt)] {
-                       fn(pkt);
-                   });
+        statLatency.sample(static_cast<double>(now - injected) /
+                           static_cast<double>(ticksPerNs));
+        eventQueue().schedule(now + nsToTicks(_p.iqNs),
+                              [fn = node.deliver, pkt = std::move(pkt)] {
+                                  fn(pkt);
+                              });
         return;
     }
     auto rit = node.nextHop.find(pkt.dst);
@@ -207,14 +148,10 @@ Network::hop(NetPacket pkt, NodeId at, Tick injected)
         // Hot potato: deflect to a random alternate channel with a
         // shorter backlog; the age field escalates priority so the
         // packet eventually takes the optimal path.
-        Pcg32 &rng = _fabric ? node.rng : _rng;
-        Channel &alt = node.channels[rng.below(
+        Channel &alt = node.channels[node.rng.below(
             static_cast<std::uint32_t>(node.channels.size()))];
         if (alt.to != preferred && alt.busyUntil < chan->busyUntil) {
-            if (_fabric)
-                ++_nodeStats[at].misroutes;
-            else
-                ++statMisroutes;
+            ++statMisroutes;
             ++pkt.age;
             chan = &alt;
         }
@@ -224,21 +161,43 @@ Network::hop(NetPacket pkt, NodeId at, Tick injected)
     Tick occupancy = icCycles(pkt.icCycles());
     chan->busyUntil = start + occupancy;
     Tick arrive = start + occupancy + nsToTicks(_p.linkNs);
-    if (_fabric)
-        ++_nodeStats[at].hops;
-    else
-        ++statHops;
+    ++statHops;
+
+    // Stage the traversal at the next node under its arrival tick; the
+    // bucket's first arrival schedules the one flush that delivers
+    // them all. A traversal always takes its channel occupancy plus
+    // the link flight time, so an arrival that is not in the future
+    // is a bug.
+    if (arrive <= now)
+        panic("network: hop %u -> %u arrives at %llu, not after %llu",
+              at, chan->to, static_cast<unsigned long long>(arrive),
+              static_cast<unsigned long long>(now));
     NodeId to = chan->to;
-    if (_fabric) {
-        // Canonical cross-node handoff: staged by arrival tick, merged
-        // in (send tick, source, sequence) order at the destination.
-        _fabric->post(at, to, arrive, injected, std::move(pkt));
-        return;
-    }
-    eventQueue().schedule(arrive, [this, pkt = std::move(pkt), to,
-                                   injected]() mutable {
-        hop(std::move(pkt), to, injected);
-    });
+    std::vector<Arrival> &bucket = _nodes.at(to).staged[arrive];
+    if (bucket.empty())
+        eventQueue().schedulePriority(
+            arrive, [this, to, arrive] { flush(to, arrive); });
+    bucket.push_back(
+        Arrival{now, at, node.sendSeq++, injected, std::move(pkt)});
+}
+
+void
+Network::flush(NodeId at, Tick when)
+{
+    auto &staged = _nodes.at(at).staged;
+    auto it = staged.find(when);
+    std::vector<Arrival> arrivals = std::move(it->second);
+    staged.erase(it);
+    std::sort(arrivals.begin(), arrivals.end(),
+              [](const Arrival &a, const Arrival &b) {
+                  if (a.sendTick != b.sendTick)
+                      return a.sendTick < b.sendTick;
+                  if (a.src != b.src)
+                      return a.src < b.src;
+                  return a.seq < b.seq;
+              });
+    for (Arrival &a : arrivals)
+        hop(std::move(a.pkt), at, a.injected);
 }
 
 void

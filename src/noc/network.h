@@ -20,16 +20,22 @@
  * traffic priority over fresh injections at the OQ, and lets
  * low-priority traffic bypass blocked high-priority traffic at the
  * IQ, which dispatches by packet type through a disposition vector.
+ *
+ * Every channel traversal is staged at the next node under its
+ * arrival tick, and each (node, tick) bucket is delivered by one
+ * priority event in (send tick, sender, sender sequence) order. So
+ * cross-chip arrivals at tick T run before any local event of tick T,
+ * in an order that depends only on simulated history (DESIGN.md §13).
  */
 
 #ifndef PIRANHA_NOC_NETWORK_H
 #define PIRANHA_NOC_NETWORK_H
 
 #include <functional>
+#include <map>
 #include <unordered_map>
 #include <vector>
 
-#include "noc/net_fabric.h"
 #include "noc/packet.h"
 #include "sim/rng.h"
 #include "sim/sim_object.h"
@@ -82,30 +88,6 @@ class Network : public SimObject
     static void buildFullyConnected(Network &net);
     static void buildRing(Network &net);
 
-    /**
-     * Attach the canonical delivery fabric (DESIGN.md §13). From then
-     * on every per-node action runs against that node's own event
-     * queue, cross-node handoffs go through NetFabric::post, misroute
-     * randomness comes from a per-node stream, and stats accumulate in
-     * per-node partials folded back by mergeShardedStats(). Without a
-     * fabric the legacy single-queue path is byte-identical to before.
-     */
-    void setFabric(NetFabric *f);
-    NetFabric *fabric() { return _fabric; }
-
-    /**
-     * Smallest possible sender-to-next-node latency of any handoff:
-     * the conservative lookahead bound for the parallel engine's
-     * epochs (short-packet occupancy + link flight time).
-     */
-    Tick minCrossLatency() const;
-
-    /** Fold per-node partials into the registered stats, node order. */
-    void mergeShardedStats();
-
-    /** Fabric flush callback: continue the hop pipeline at @p at. */
-    void arriveAt(NetPacket &&pkt, NodeId at, Tick injected);
-
     void regStats(StatGroup &parent);
 
     Scalar statPackets;
@@ -121,6 +103,17 @@ class Network : public SimObject
         Tick busyUntil = 0;
     };
 
+    /** One channel traversal, staged at its next node until the
+     *  arrival tick (see hop()). */
+    struct Arrival
+    {
+        Tick sendTick = 0;        //!< tick the hop was computed at
+        NodeId src = 0;           //!< node that sent it
+        std::uint64_t seq = 0;    //!< sender's hop sequence number
+        Tick injected = 0;        //!< injection tick (latency stat)
+        NetPacket pkt;
+    };
+
     struct Node
     {
         NetDeliverFn deliver;
@@ -128,32 +121,21 @@ class Network : public SimObject
         std::vector<Channel> channels;
         // next hop per destination
         std::unordered_map<NodeId, NodeId> nextHop;
-        // fabric mode only: node-local misroute stream, so results
-        // don't depend on which thread interleaving consumed a shared
-        // generator
+        // node-local misroute stream, so a node's routing choices do
+        // not depend on how other nodes' hops interleave with its own
         Pcg32 rng{0x9142a4a, 42};
-    };
-
-    /** Fabric mode: per-node stat partials, merged at end of run. */
-    struct NodeStats
-    {
-        double packets = 0;
-        double longPackets = 0;
-        double hops = 0;
-        double misroutes = 0;
-        Histogram latency{50.0, 64};
+        std::uint64_t sendSeq = 0; //!< hops sent by this node
+        // arrival tick -> hops staged for it; one flush event each
+        std::map<Tick, std::vector<Arrival>> staged;
     };
 
     void hop(NetPacket pkt, NodeId at, Tick injected);
+    void flush(NodeId at, Tick when);
     Tick icCycles(unsigned n) const;
-    EventQueue &eqFor(NodeId n);
 
     NetworkParams _p;
     FaultInjector *_faults = nullptr;
-    NetFabric *_fabric = nullptr;
     std::unordered_map<NodeId, Node> _nodes;
-    std::vector<NodeStats> _nodeStats;
-    Pcg32 _rng{0x9142a4a, 42}; // deterministic misrouting (legacy path)
     StatGroup _stats{"network"};
 };
 

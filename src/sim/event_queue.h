@@ -99,9 +99,8 @@ class EventQueue
      * event of the same tick: priority sequence numbers come from a
      * band below the normal one, so at equal ticks a priority event
      * always sorts first regardless of when it was scheduled. Used by
-     * the network fabric's canonical delivery flushes (DESIGN.md §13)
-     * so cross-chip arrivals at tick T execute before any local event
-     * of tick T in both the serial and the parallel engine.
+     * the network's arrival flushes (DESIGN.md §13) so cross-chip
+     * arrivals at tick T execute before any local event of tick T.
      */
     void
     schedulePriority(Event &ev, Tick when)
@@ -148,7 +147,7 @@ class EventQueue
         schedule(*ev, when);
     }
 
-    /** Closure variant of schedulePriority (fabric flush events). */
+    /** Closure variant of schedulePriority (network arrival flushes). */
     void
     schedulePriority(Tick when, EventFn fn)
     {
@@ -217,30 +216,15 @@ class EventQueue
      * zero-event L1-hit fast path to prove that completing an access
      * inline (and advancing the clock) cannot reorder against any
      * other component's events.
-     *
-     * Under the parallel engine the proof additionally requires @p t
-     * to lie inside the current epoch: beyond the horizon other
-     * shards may still post work into this tick range, so the quiet
-     * claim cannot be made and the fast path falls back to its
-     * evented tier (which is bit-identical, see DESIGN.md §8).
      */
     bool
     quietThrough(Tick t)
     {
-        if (t > _horizon)
-            return false;
         if (_numPending == 0)
             return true;
         Event *n = peekNext();
         return !n || n->_when > t;
     }
-
-    /**
-     * Bound the quietThrough proof to ticks <= @p t (the last tick of
-     * the current epoch). ~Tick(0) (the default) removes the bound.
-     */
-    void setHorizon(Tick t) { _horizon = t; }
-    Tick horizon() const { return _horizon; }
 
     /**
      * Advance curTick to @p t without executing anything. Only legal
@@ -478,7 +462,6 @@ class EventQueue
 
     bool _wheelEnabled;
     Tick _curTick = 0;
-    Tick _horizon = ~Tick(0);
     std::uint64_t _nextSeq = kNormalSeqBase;
     std::uint64_t _nextPrioSeq = 0;
     std::uint64_t _executed = 0;

@@ -97,35 +97,6 @@ class Histogram
             b = 0;
     }
 
-    /**
-     * Fold another histogram of the same shape into this one. Used to
-     * combine per-node partials after a sharded run; addition order
-     * must be fixed by the caller so the floating-point sum is
-     * reproducible.
-     */
-    void
-    merge(const Histogram &o)
-    {
-        if (o._samples == 0)
-            return;
-        if (_samples == 0) {
-            _min = o._min;
-            _max = o._max;
-        } else {
-            if (o._min < _min)
-                _min = o._min;
-            if (o._max > _max)
-                _max = o._max;
-        }
-        _samples += o._samples;
-        _sum += o._sum;
-        std::size_t n = _buckets.size() < o._buckets.size()
-                            ? _buckets.size()
-                            : o._buckets.size();
-        for (std::size_t i = 0; i < n; ++i)
-            _buckets[i] += o._buckets[i];
-    }
-
     std::uint64_t samples() const { return _samples; }
     double mean() const { return _samples ? _sum / _samples : 0.0; }
     double min() const { return _min; }

@@ -24,21 +24,12 @@
 #define PIRANHA_SYSTEM_CONFIG_H
 
 #include <string>
-#include <vector>
 
 #include "cpu/core.h"
 #include "fault/fault_plan.h"
-#include "noc/net_fabric.h"
 #include "system/chip.h"
 
 namespace piranha {
-
-/** Which event-loop driver PiranhaSystem::run uses (DESIGN.md §13). */
-enum class EngineKind
-{
-    Serial,   //!< single event queue, single host thread
-    Parallel, //!< per-chip queues on worker threads, epoch barriers
-};
 
 /** A complete system configuration for the benchmark harness. */
 struct SystemConfig
@@ -48,33 +39,6 @@ struct SystemConfig
     unsigned cpusPerChip = 8;
     ChipParams chip{};
     CoreParams core{};
-
-    /** Event-loop driver; Parallel is bit-identical to Serial run to
-     *  quiescence (drainStop) for any shard count. */
-    EngineKind engine = EngineKind::Serial;
-
-    /** Worker threads for the parallel engine; 0 = one per chip. */
-    unsigned shards = 0;
-
-    /**
-     * Run until every event queue drains instead of stopping at the
-     * first all-cores-done scan. The parallel engine always quiesces
-     * (its stop condition is global drain), so serial runs meant to be
-     * compared against parallel ones must set this; default off keeps
-     * the legacy stop rule and its pinned artifacts untouched.
-     */
-    bool drainStop = false;
-
-    /**
-     * Per-chip coherence tracers (index = node). Overrides
-     * ChipParams::tracer chip by chip; required for tracing under the
-     * parallel engine, where a single shared ring would be a data
-     * race. Entries may be null (that chip untraced).
-     */
-    std::vector<CoherenceTracer *> chipTracers;
-
-    /** Mutation/test hooks for the parallel engine (tests only). */
-    ParallelHooks *parallelHooks = nullptr;
 
     /**
      * Fault-injection plan (src/fault/). Disabled by default; a

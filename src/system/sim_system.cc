@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "sim/parallel_engine.h"
 #include "sim/profiler.h"
 
 #if PIRANHA_FAULT_INJECT
@@ -15,20 +14,6 @@ namespace piranha {
 PiranhaSystem::PiranhaSystem(const SystemConfig &cfg) : _cfg(cfg)
 {
     _amap.numNodes = cfg.nodes;
-    _parallel = _cfg.engine == EngineKind::Parallel;
-    if (_parallel && _cfg.faults.any()) {
-        warn("parallel engine does not support fault injection; "
-             "falling back to serial");
-        _parallel = false;
-    }
-    if (_parallel && _cfg.chip.tracer) {
-        // A single shared trace ring across chips would be a data
-        // race under the parallel engine; per-chip rings go through
-        // SystemConfig::chipTracers instead.
-        warn("parallel engine needs per-chip tracers "
-             "(SystemConfig::chipTracers); falling back to serial");
-        _parallel = false;
-    }
 #if PIRANHA_FAULT_INJECT
     // The injector must exist before the chips: every L1/L2/MC/ICS
     // captures the pointer at construction.
@@ -42,24 +27,12 @@ PiranhaSystem::PiranhaSystem(const SystemConfig &cfg) : _cfg(cfg)
     if (_cfg.faults.any())
         warn("fault plan ignored: built with PIRANHA_FAULTS=OFF");
 #endif
-    if (_parallel) {
-        _shards = _cfg.shards ? std::min(_cfg.shards, cfg.nodes)
-                              : cfg.nodes;
-        _shardOf.resize(cfg.nodes);
-        for (unsigned n = 0; n < cfg.nodes; ++n) {
-            _shardOf[n] = n * _shards / cfg.nodes;
-            _chipQueues.push_back(std::make_unique<EventQueue>());
-        }
-    }
     if (cfg.nodes > 1)
         _net = std::make_unique<Network>(_eq, "net");
     for (unsigned n = 0; n < cfg.nodes; ++n) {
-        ChipParams chipP = _cfg.chip;
-        if (n < _cfg.chipTracers.size() && _cfg.chipTracers[n])
-            chipP.tracer = _cfg.chipTracers[n];
         _chips.push_back(std::make_unique<PiranhaChip>(
-            chipQueue(n), strFormat("node%u", n),
-            static_cast<NodeId>(n), _amap, chipP, _net.get()));
+            _eq, strFormat("node%u", n), static_cast<NodeId>(n), _amap,
+            _cfg.chip, _net.get()));
     }
     if (_net) {
         for (unsigned n = 0; n < cfg.nodes; ++n) {
@@ -72,31 +45,12 @@ PiranhaSystem::PiranhaSystem(const SystemConfig &cfg) : _cfg(cfg)
         else
             Network::buildRing(*_net);
         _net->regStats(_stats);
-        // Both engines route inter-chip traffic through the canonical
-        // fabric (DESIGN.md §13): the serial engine is the one-shard
-        // case, which is what makes its per-chip event streams — and
-        // so stats and traces — identical to any sharded run.
-        _fabric = std::make_unique<NetFabric>();
-        std::vector<EventQueue *> qs;
-        std::vector<unsigned> so;
-        for (unsigned n = 0; n < cfg.nodes; ++n) {
-            qs.push_back(&chipQueue(n));
-            so.push_back(_parallel ? _shardOf[n] : 0);
-        }
-        Network *net = _net.get();
-        _fabric->configure(
-            std::move(qs), std::move(so), _parallel ? _shards : 1,
-            [net](NetPacket &&p, NodeId at, Tick injected) {
-                net->arriveAt(std::move(p), at, injected);
-            },
-            _cfg.parallelHooks);
-        _net->setFabric(_fabric.get());
     }
     for (unsigned n = 0; n < cfg.nodes; ++n) {
         _chips[n]->regStats(_stats);
         for (unsigned c = 0; c < cfg.cpusPerChip; ++c) {
             _cores.push_back(std::make_unique<Core>(
-                chipQueue(n), strFormat("node%u.cpu%u", n, c),
+                _eq, strFormat("node%u.cpu%u", n, c),
                 _chips[n]->clock(), _chips[n]->dl1(c),
                 _chips[n]->il1(c), cfg.core));
             _cores.back()->regStats(_stats);
@@ -128,31 +82,14 @@ PiranhaSystem::PiranhaSystem(const SystemConfig &cfg) : _cfg(cfg)
 
 PiranhaSystem::~PiranhaSystem() = default;
 
-std::uint64_t
-PiranhaSystem::totalEventsExecuted() const
-{
-    if (!_parallel)
-        return _eq.executed();
-    std::uint64_t total = 0;
-    for (const auto &q : _chipQueues)
-        total += q->executed();
-    return total;
-}
-
 std::string
 PiranhaSystem::diagnosticDump(const std::string &why) const
 {
-    std::uint64_t pending = _eq.pending();
-    if (_parallel) {
-        pending = 0;
-        for (const auto &q : _chipQueues)
-            pending += q->pending();
-    }
     std::ostringstream os;
-    os << "=== diagnostic dump @" << chipQueue(0).curTick() << "ps ("
-       << why << ") ===\n";
-    os << "events: executed=" << totalEventsExecuted()
-       << " pending=" << pending << "\n";
+    os << "=== diagnostic dump @" << _eq.curTick() << "ps (" << why
+       << ") ===\n";
+    os << "events: executed=" << _eq.executed()
+       << " pending=" << _eq.pending() << "\n";
     unsigned done = 0;
     for (const auto &core : _cores)
         if (core->done())
@@ -197,7 +134,7 @@ PiranhaSystem::run(Workload &wl, std::uint64_t work_per_cpu,
     for (unsigned n = 0; n < _cfg.nodes; ++n) {
         for (unsigned c = 0; c < _cfg.cpusPerChip; ++c) {
             _cores.push_back(std::make_unique<Core>(
-                chipQueue(n), strFormat("node%u.cpu%u", n, c),
+                _eq, strFormat("node%u.cpu%u", n, c),
                 _chips[n]->clock(), _chips[n]->dl1(c),
                 _chips[n]->il1(c), cp));
             _cores.back()->regStats(_stats);
@@ -206,13 +143,13 @@ PiranhaSystem::run(Workload &wl, std::uint64_t work_per_cpu,
     _streams.clear();
     for (unsigned i = 0; i < ncpus; ++i) {
         NodeId node = static_cast<NodeId>(i / _cfg.cpusPerChip);
-        _streams.push_back(wl.makeStream(chipQueue(node), i, ncpus,
+        _streams.push_back(wl.makeStream(_eq, i, ncpus,
                                          work_per_cpu, node, _amap));
         _cores[i]->start(_streams[i].get());
     }
 
-    Tick deadline = chipQueue(0).curTick() + max_time;
-    std::uint64_t events_before = totalEventsExecuted();
+    Tick deadline = _eq.curTick() + max_time;
+    std::uint64_t events_before = _eq.executed();
     // L1s persist across run() calls, so their host-side counters are
     // cumulative; report this run's delta.
     std::uint64_t l1_fast_before = 0, l1_resp_before = 0;
@@ -236,128 +173,74 @@ PiranhaSystem::run(Workload &wl, std::uint64_t work_per_cpu,
     bool wd_tripped = false;
     std::string wd_reason;
     std::string wd_dump;
-    unsigned shards_used = 0;
-    std::uint64_t parallel_epochs = 0;
-    std::vector<double> shard_seconds;
-    std::vector<std::map<std::string, double>> shard_profiles;
-    if (_parallel) {
-        // Sharded run: the engine drives every chip queue to global
-        // quiescence (the drainStop semantics, always), polling the
-        // abort hook once per epoch barrier. The instruction-stall
-        // watchdog needs cross-thread stat reads and is not available
-        // here; the drained-with-unfinished-cores detection below
-        // covers the wedged-protocol case it exists for.
-        ShardPlan plan;
-        for (unsigned n = 0; n < _cfg.nodes; ++n)
-            plan.queues.push_back(&chipQueue(n));
-        plan.shardOf = _shardOf;
-        plan.shards = _shards;
-        plan.fabric = _fabric.get();
-        plan.lookahead = _net ? _net->minCrossLatency() : ~Tick(0);
-        plan.deadline = deadline;
-        plan.aborted = should_abort;
-        plan.hooks = _cfg.parallelHooks;
-        ParallelEngine engine(std::move(plan));
-        ParallelRunOutcome po = engine.run();
-        shards_used = _shards;
-        parallel_epochs = po.epochs;
-        shard_seconds = std::move(po.shardSeconds);
-        shard_profiles = std::move(po.shardProfiles);
-        aborted = po.deadlineHit || po.abortRequested;
-        if (po.deadlineHit) {
-            warn("run hit max_time before completing work");
-            wd_dump = diagnosticDump("max_time");
-        } else if (!po.abortRequested) {
-            bool all_done = true;
-            for (const auto &core : _cores)
-                if (!core->done()) {
-                    all_done = false;
-                    break;
-                }
-            if (!all_done && wd.enabled) {
-                wd_tripped = true;
-                wd_reason =
-                    "event queue drained with unfinished cores";
+    Tick wd_last_tick = _eq.curTick();
+    double wd_last_instrs = -1.0;
+    // Completion check: scanning every core per event is O(ncpus) on
+    // the hottest loop in the simulator. Start each scan at the core
+    // that most recently reported not-done — it almost always still
+    // isn't, making the check O(1) amortized with the same stop point
+    // (the loop still exits on the first iteration where all cores
+    // are done).
+    std::size_t watch = 0;
+    for (;;) {
+        PIR_PROF(Kernel);
+        bool all_done = true;
+        for (std::size_t i = 0; i < ncpus; ++i) {
+            std::size_t j = watch + i < ncpus ? watch + i : watch + i - ncpus;
+            if (!_cores[j]->done()) {
+                watch = j;
+                all_done = false;
+                break;
             }
         }
-    } else {
-        Tick wd_last_tick = _eq.curTick();
-        double wd_last_instrs = -1.0;
-        // Completion check: scanning every core per event is O(ncpus)
-        // on the hottest loop in the simulator. Start each scan at the
-        // core that most recently reported not-done — it almost always
-        // still isn't, making the check O(1) amortized with the same
-        // stop point (the loop still exits on the first iteration
-        // where all cores are done).
-        std::size_t watch = 0;
-        for (;;) {
-            PIR_PROF(Kernel);
-            bool all_done = true;
-            for (std::size_t i = 0; i < ncpus; ++i) {
-                std::size_t j = watch + i < ncpus ? watch + i
-                                                  : watch + i - ncpus;
-                if (!_cores[j]->done()) {
-                    watch = j;
-                    all_done = false;
-                    break;
-                }
-            }
-            // drainStop: after the cores finish, keep stepping until
-            // the queue empties (in-flight writebacks, net
-            // deliveries), which is the unique fixpoint the parallel
-            // engine also stops at.
-            if (all_done && (!_cfg.drainStop || _eq.pending() == 0))
-                break;
-            if (_eq.curTick() >= deadline) {
-                warn("run hit max_time before completing work");
-                wd_dump = diagnosticDump("max_time");
-                aborted = true;
-                break;
-            }
+        if (all_done)
+            break;
+        if (_eq.curTick() >= deadline) {
+            warn("run hit max_time before completing work");
+            wd_dump = diagnosticDump("max_time");
+            aborted = true;
+            break;
+        }
 #if PIRANHA_FAULT_INJECT
-            // A machine check is a clean detected-error teardown: stop
-            // at the next event boundary with the cause recorded.
-            if (_injector && _injector->machineCheck()) {
-                aborted = true;
-                break;
-            }
+        // A machine check is a clean detected-error teardown: stop at
+        // the next event boundary with the cause recorded.
+        if (_injector && _injector->machineCheck()) {
+            aborted = true;
+            break;
+        }
 #endif
-            ++iter;
-            // Poll the host-side abort hook sparsely; a syscall-backed
-            // check (clock read) every event would dominate runtime.
-            if (should_abort && (iter & 0xFFF) == 0 && should_abort()) {
-                aborted = true;
+        ++iter;
+        // Poll the host-side abort hook sparsely; a syscall-backed
+        // check (clock read) every event would dominate runtime.
+        if (should_abort && (iter & 0xFFF) == 0 && should_abort()) {
+            aborted = true;
+            break;
+        }
+        if (wd.enabled && (iter & 0xFFF) == 0) {
+            double instrs = 0;
+            for (const auto &core : _cores)
+                instrs += core->statInstrs.value();
+            if (instrs != wd_last_instrs) {
+                wd_last_instrs = instrs;
+                wd_last_tick = _eq.curTick();
+            } else if (_eq.curTick() - wd_last_tick >= wd.stallLimit) {
+                wd_tripped = true;
+                wd_reason = strFormat(
+                    "no instruction retired for %llu ps",
+                    static_cast<unsigned long long>(
+                        _eq.curTick() - wd_last_tick));
                 break;
             }
-            if (wd.enabled && (iter & 0xFFF) == 0) {
-                double instrs = 0;
-                for (const auto &core : _cores)
-                    instrs += core->statInstrs.value();
-                if (instrs != wd_last_instrs) {
-                    wd_last_instrs = instrs;
-                    wd_last_tick = _eq.curTick();
-                } else if (_eq.curTick() - wd_last_tick >=
-                           wd.stallLimit) {
-                    wd_tripped = true;
-                    wd_reason = strFormat(
-                        "no instruction retired for %llu ps",
-                        static_cast<unsigned long long>(
-                            _eq.curTick() - wd_last_tick));
-                    break;
-                }
+        }
+        if (!_eq.step()) {
+            // The queue drained with cores unfinished: nothing can ever
+            // advance architectural state again. A lost message (fault
+            // injection or protocol bug) wedged the system.
+            if (wd.enabled) {
+                wd_tripped = true;
+                wd_reason = "event queue drained with unfinished cores";
             }
-            if (!_eq.step()) {
-                // The queue drained with cores unfinished: nothing can
-                // ever advance architectural state again. A lost
-                // message (fault injection or protocol bug) wedged the
-                // system.
-                if (wd.enabled) {
-                    wd_tripped = true;
-                    wd_reason =
-                        "event queue drained with unfinished cores";
-                }
-                break;
-            }
+            break;
         }
     }
     if (wd_tripped) {
@@ -366,17 +249,9 @@ PiranhaSystem::run(Workload &wl, std::uint64_t work_per_cpu,
         warn("forward-progress watchdog tripped: %s",
              wd_reason.c_str());
     }
-    // Fold the fabric-mode per-node network partials into the
-    // registered stats in node order (identical fold order under both
-    // engines, so the floating-point sums match bit for bit).
-    if (_net && _net->fabric())
-        _net->mergeShardedStats();
-
     RunResult r;
     r.config = _cfg.name;
     r.workload = wl.name();
-    r.engineFallback =
-        _cfg.engine == EngineKind::Parallel && !_parallel;
     r.aborted = aborted;
     r.watchdogTripped = wd_tripped;
     r.watchdogReason = std::move(wd_reason);
@@ -389,10 +264,7 @@ PiranhaSystem::run(Workload &wl, std::uint64_t work_per_cpu,
         r.machineCheckReason = _injector->machineCheckReason();
     }
 #endif
-    r.eventsExecuted = totalEventsExecuted() - events_before;
-    r.shardsUsed = shards_used;
-    r.parallelEpochs = parallel_epochs;
-    r.shardHostSeconds = std::move(shard_seconds);
+    r.eventsExecuted = _eq.executed() - events_before;
     double busy = 0, hit = 0, miss = 0, idle = 0;
     for (unsigned i = 0; i < ncpus; ++i) {
         r.execTime = std::max(r.execTime, _cores[i]->accountedTime());
@@ -415,13 +287,7 @@ PiranhaSystem::run(Workload &wl, std::uint64_t work_per_cpu,
     }
     r.l1FastHits -= l1_fast_before;
     r.l1RespondEvents -= l1_resp_before;
-    r.eventsEquivalent = r.eventsExecuted + r.fastInlineHits;
     r.profile = prof::snapshot();
-    // The workers' thread_local profiler accumulations, folded into
-    // the run's breakdown (zones still sum to measured host time).
-    for (const auto &sp : shard_profiles)
-        for (const auto &[zone, secs] : sp)
-            r.profile[zone] += secs;
     double total = busy + hit + miss + idle;
     if (total > 0) {
         r.busyFrac = busy / total;

@@ -47,17 +47,6 @@ struct RunResult
     /** Kernel events executed by this run (deterministic). */
     std::uint64_t eventsExecuted = 0;
 
-    /**
-     * eventsExecuted + fastInlineHits: the engine-invariant event
-     * count. The fast path's inline tier trades events 1:1 for inline
-     * completions, and the parallel engine's epoch horizon shifts that
-     * split (an L1 hit near an epoch boundary falls back to the
-     * evented tier), so eventsExecuted alone is only comparable
-     * between runs of the same engine/shard count — this sum is
-     * comparable across all of them (DESIGN.md §13).
-     */
-    std::uint64_t eventsEquivalent = 0;
-
     // Fast-path instrumentation (host-side; never part of the
     // bit-identity stat comparison — a slow-mode run reports zeros
     // for the first three while producing identical simulation stats).
@@ -72,21 +61,6 @@ struct RunResult
      * measurement: excluded from identity comparisons.
      */
     std::map<std::string, double> profile;
-
-    // Parallel-engine instrumentation (host-side, excluded from
-    // identity comparisons; zeros/empty under the serial engine).
-    unsigned shardsUsed = 0;             //!< worker threads driven
-    std::uint64_t parallelEpochs = 0;    //!< barrier windows executed
-    std::vector<double> shardHostSeconds; //!< per-worker host seconds
-
-    /**
-     * The config asked for the parallel engine but the system forced
-     * the serial fallback (fault plan or shared tracer attached).
-     * Recorded here — and as `engine_fallback` in the sweep/campaign
-     * JSON reports — so report consumers can detect it instead of
-     * having to scrape the stderr warning.
-     */
-    bool engineFallback = false;
 
     /** True when the run was stopped by an abort check or max_time. */
     bool aborted = false;
@@ -168,26 +142,9 @@ class PiranhaSystem
     /** Diagnostic state dump (watchdog / max_time; DESIGN.md §9). */
     std::string diagnosticDump(const std::string &why) const;
 
-    /** True when runs use the sharded parallel engine (the config
-     *  asked for it and nothing forced the serial fallback). */
-    bool parallelEngine() const { return _parallel; }
-
-    /** Events executed across all queues (one queue when serial). */
-    std::uint64_t totalEventsExecuted() const;
-
   private:
-    EventQueue &chipQueue(unsigned n)
-    { return _parallel ? *_chipQueues[n] : _eq; }
-    const EventQueue &chipQueue(unsigned n) const
-    { return _parallel ? *_chipQueues[n] : _eq; }
-
     SystemConfig _cfg;
     EventQueue _eq;
-    bool _parallel = false;
-    unsigned _shards = 1;
-    std::vector<unsigned> _shardOf;
-    std::vector<std::unique_ptr<EventQueue>> _chipQueues;
-    std::unique_ptr<NetFabric> _fabric;
     AddressMap _amap;
     std::unique_ptr<Network> _net;
     std::vector<std::unique_ptr<PiranhaChip>> _chips;

@@ -85,16 +85,13 @@ TraceWriter::flushCpu(unsigned cpu)
     TraceChunkHeader ch;
     ch.cpu = cpu;
     ch.bytes = static_cast<std::uint32_t>(bytes);
-    {
-        std::lock_guard<std::mutex> lock(_ioMu);
-        writeRaw(&ch, sizeof(ch));
-        TraceChunkIndex idx;
-        idx.offset = _offset; // payload offset (after the chunk header)
-        idx.cpu = cpu;
-        idx.bytes = ch.bytes;
-        _index.push_back(idx);
-        writeRaw(c.buf.data(), bytes);
-    }
+    writeRaw(&ch, sizeof(ch));
+    TraceChunkIndex idx;
+    idx.offset = _offset; // payload offset (after the chunk header)
+    idx.cpu = cpu;
+    idx.bytes = ch.bytes;
+    _index.push_back(idx);
+    writeRaw(c.buf.data(), bytes);
     c.footer.bytes += bytes;
     c.footer.checksum = fnv1a(c.footer.checksum, c.buf.data(), bytes);
     c.buf.clear();

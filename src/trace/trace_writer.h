@@ -23,7 +23,6 @@
 
 #include <fstream>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -101,13 +100,6 @@ class TraceWriter
     std::vector<TraceChunkIndex> _index;
     std::uint64_t _offset = 0; //!< current file write offset
     bool _finalized = false;
-    /** Serializes chunk flushes: per-CPU buffers are single-writer
-     *  (one CPU = one shard thread), but the file, offset, and chunk
-     *  index are shared. Chunk order in the file may then vary with
-     *  host scheduling under the parallel engine; replay is
-     *  unaffected because chunks are located via the index, never by
-     *  position. */
-    std::mutex _ioMu;
 };
 
 /** Transparent recording shim around one CPU's instruction stream. */

@@ -186,10 +186,8 @@ class OltpStream : public InstrStream
             // History append: migratory cursor + sequential row. Slot
             // allocation is per-stream interleaved (this CPU owns
             // every _total-th slot), so the generated addresses don't
-            // depend on cross-stream generation order — a requirement
-            // for the parallel engine, where streams refill on
-            // different threads (DESIGN.md §13). The migratory cursor
-            // line itself is still shared coherence traffic.
+            // depend on cross-stream generation order. The migratory
+            // cursor line itself is still shared coherence traffic.
             unsigned b = _rng.below(_p.branches);
             Addr cur = kHistCursor + b * lineBytes;
             std::uint64_t idx = _histCount[b]++ * _total + _cpu;
@@ -292,7 +290,7 @@ class OltpStream : public InstrStream
             // slot numbers come from a per-stream interleaved counter
             // (this CPU owns every _total-th commit run): the emitted
             // addresses are independent of cross-stream generation
-            // order, which the parallel engine requires.
+            // order.
             emitMem(StreamOp::Kind::Load, kLogLock);
             emitMem(StreamOp::Kind::Store, kLogLock);
             c.logPos = (_commits++ * _total + _cpu) * _p.commitStores;

@@ -244,21 +244,28 @@ TEST(JobJournal, GarbageAppendIsIgnored)
 
 TEST(JobJournal, UnsupportedVersionThrows)
 {
-    TempDir tmp;
-    {
-        JobJournal j(tmp.dir(), "s", 1, false);
+    // Version 1 is the format before events_equivalent and
+    // engine_fallback left job results; 99 is a future version.
+    for (unsigned version : {1u, 99u}) {
+        ASSERT_NE(version, JobJournal::kVersion);
+        TempDir tmp;
+        {
+            JobJournal j(tmp.dir(), "s", 1, false);
+        }
+        // Rewrite the header with another version, fixing up length
+        // and checksum so only the version check can object.
+        std::string payload = strFormat(
+            "{\"version\": %u, \"sweep\": \"s\", \"jobs\": 1}",
+            version);
+        char head[64];
+        std::snprintf(head, sizeof(head), "H %zu %016llx ",
+                      payload.size(),
+                      static_cast<unsigned long long>(
+                          fnv1a64(payload.data(), payload.size())));
+        writeJournalFile(tmp.dir(), head + payload + "\n");
+        EXPECT_THROW(JobJournal::load(tmp.dir()), std::runtime_error)
+            << "version " << version;
     }
-    std::string text = readJournalFile(tmp.dir());
-    // Rewrite the header with a future version, fixing up length and
-    // checksum so only the version check can object.
-    std::string payload = "{\"version\": 99, \"sweep\": \"s\"}";
-    char head[64];
-    std::snprintf(head, sizeof(head), "H %zu %016llx ",
-                  payload.size(),
-                  static_cast<unsigned long long>(
-                      fnv1a64(payload.data(), payload.size())));
-    writeJournalFile(tmp.dir(), head + payload + "\n");
-    EXPECT_THROW(JobJournal::load(tmp.dir()), std::runtime_error);
 }
 
 TEST(JobJournal, FreshRunTruncatesStaleJournal)

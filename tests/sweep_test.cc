@@ -207,33 +207,6 @@ TEST(SweepRunner, UnresponsiveWorkerIsAbandonedAndFlagged)
         root.at("jobs").at(0).at("leaked_worker").asBool());
 }
 
-/**
- * Configurations that force the parallel intra-run engine back to the
- * serial engine (fault plans pin the event schedule) used to say so
- * only on stderr; the fallback is now recorded per job in the report.
- */
-TEST(SweepReport, EngineFallbackIsRecordedInJson)
-{
-    SweepPoint faulted = smallPoint("faulted", 2, 16);
-    faulted.config.faults.enabled = true;
-    faulted.config.faults.count = 1;
-    std::vector<SweepPoint> pts = {smallPoint("plain", 2, 16),
-                                   faulted};
-
-    SweepOptions opts;
-    opts.threads = 1;
-    opts.engine = EngineKind::Parallel;
-    SweepReport rep = SweepRunner(opts).run("fallback", pts);
-
-    ASSERT_EQ(rep.jobs.size(), 2u);
-    EXPECT_FALSE(rep.jobs[0].run.engineFallback);
-    EXPECT_TRUE(rep.jobs[1].run.engineFallback);
-
-    JsonValue root = rep.toJson(false);
-    EXPECT_EQ(root.at("jobs").at(0).find("engine_fallback"), nullptr);
-    EXPECT_TRUE(root.at("jobs").at(1).at("engine_fallback").asBool());
-}
-
 TEST(SweepReport, JsonIsParseableAndComplete)
 {
     std::vector<SweepPoint> pts;

@@ -13,47 +13,24 @@
 
 #include "check/trace.h"
 #include "sim/event_queue.h"
-#include "sim/parallel_engine.h"
 #include "system/chip.h"
 
 namespace piranha {
-
-/** Optional TestSystem behaviors beyond the classic serial fixture. */
-struct TestSystemOptions
-{
-    /** Per-chip event queues driven by the parallel engine
-     *  (DESIGN.md §13) instead of one shared serial queue. */
-    bool parallel = false;
-    unsigned shards = 0; //!< parallel worker count; 0 = one per chip
-    /** Per-chip tracer override (size = nodes); required instead of
-     *  ChipParams::tracer when parallel (tracers are not
-     *  thread-safe across chips). */
-    std::vector<CoherenceTracer *> chipTracers;
-};
 
 class TestSystem
 {
   public:
     explicit TestSystem(unsigned nodes = 1, unsigned cpus = 8,
-                        ChipParams params = ChipParams{},
-                        TestSystemOptions opts = TestSystemOptions{})
-        : parallel(opts.parallel)
+                        ChipParams params = ChipParams{})
     {
         amap.numNodes = nodes;
-        if (parallel)
-            for (unsigned n = 0; n < nodes; ++n)
-                qs.push_back(std::make_unique<EventQueue>());
         if (nodes > 1)
-            net = std::make_unique<Network>(queueFor(0), "net");
+            net = std::make_unique<Network>(eq, "net");
         params.cpus = cpus;
-        for (unsigned n = 0; n < nodes; ++n) {
-            ChipParams p = params;
-            if (!opts.chipTracers.empty())
-                p.tracer = opts.chipTracers[n];
+        for (unsigned n = 0; n < nodes; ++n)
             chips.push_back(std::make_unique<PiranhaChip>(
-                queueFor(n), strFormat("node%u", n),
-                static_cast<NodeId>(n), amap, p, net.get()));
-        }
+                eq, strFormat("node%u", n), static_cast<NodeId>(n), amap,
+                params, net.get()));
         if (net) {
             for (unsigned n = 0; n < nodes; ++n) {
                 PiranhaChip *c = chips[n].get();
@@ -64,58 +41,6 @@ class TestSystem
             }
             Network::buildFullyConnected(*net);
         }
-        shards = parallel
-                     ? std::min(opts.shards ? opts.shards : nodes,
-                                nodes)
-                     : 1;
-        shardOf.assign(nodes, 0);
-        for (unsigned n = 0; parallel && n < nodes; ++n)
-            shardOf[n] = n * shards / nodes;
-        if (parallel && net) {
-            std::vector<EventQueue *> queue_ptrs;
-            for (auto &q : qs)
-                queue_ptrs.push_back(q.get());
-            fabric = std::make_unique<NetFabric>();
-            Network *np = net.get();
-            fabric->configure(
-                std::move(queue_ptrs), shardOf, shards,
-                [np](NetPacket &&p, NodeId at, Tick injected) {
-                    np->arriveAt(std::move(p), at, injected);
-                },
-                nullptr);
-            net->setFabric(fabric.get());
-        }
-    }
-
-    EventQueue &queueFor(unsigned n) { return parallel ? *qs[n] : eq; }
-
-    /** Latest tick any queue has reached. */
-    Tick
-    now() const
-    {
-        Tick t = eq.curTick();
-        for (const auto &q : qs)
-            t = std::max(t, q->curTick());
-        return t;
-    }
-
-    /** Drive every queue to quiescence (or @p deadline); returns true
-     *  when everything drained. */
-    bool
-    runUntil(Tick deadline = ~Tick(0))
-    {
-        if (!parallel)
-            return eq.run(deadline);
-        ShardPlan plan;
-        for (auto &q : qs)
-            plan.queues.push_back(q.get());
-        plan.shardOf = shardOf;
-        plan.shards = shards;
-        plan.fabric = fabric.get();
-        plan.lookahead = net ? net->minCrossLatency() : ~Tick(0);
-        plan.deadline = deadline;
-        ParallelEngine engine(std::move(plan));
-        return !engine.run().deadlineHit;
     }
 
     /** Synchronous load: run the system until the access completes. */
@@ -190,18 +115,11 @@ class TestSystem
     }
 
     /** Drain every pending event (store buffers, protocol, network). */
-    void settle() { runUntil(); }
+    void settle() { eq.run(); }
 
     void
     waitFor(bool &flag)
     {
-        if (parallel) {
-            runUntil();
-            if (!flag)
-                panic("test system deadlock: queues drained while "
-                      "waiting");
-            return;
-        }
         while (!flag) {
             if (!eq.step())
                 panic("test system deadlock: event queue drained "
@@ -213,11 +131,6 @@ class TestSystem
     AddressMap amap;
     std::unique_ptr<Network> net;
     std::vector<std::unique_ptr<PiranhaChip>> chips;
-    bool parallel = false;
-    unsigned shards = 1;
-    std::vector<unsigned> shardOf;
-    std::vector<std::unique_ptr<EventQueue>> qs;
-    std::unique_ptr<NetFabric> fabric;
 };
 
 /** An address homed at @p node (page-interleaved homes); @p line

@@ -520,107 +520,5 @@ TEST(TraceRecord, SecondRunOverSameRecordingIsRejected)
     EXPECT_THROW(sys2.run(rec, 5), std::runtime_error);
 }
 
-// ---------------------------------------------------------------------
-// Trace x engine interop (DESIGN.md §13): a trace recorded under one
-// engine must replay bit-identically under the other. Both directions
-// use drainStop + per-chip tracers + the canonical trace merge so the
-// comparison basis is engine-independent.
-
-/** Like runOnce, but engine-selectable and canonical: per-chip
- *  tracers, run-to-quiescence stop, merged (tick, node)-sorted
- *  trace. */
-Snapshot
-runCanonical(SystemConfig cfg, Workload &wl, std::uint64_t work_per_cpu,
-             bool parallel, unsigned shards = 0)
-{
-    std::vector<std::unique_ptr<CoherenceTracer>> tracers;
-    for (unsigned n = 0; n < cfg.nodes; ++n) {
-        tracers.push_back(std::make_unique<CoherenceTracer>());
-        cfg.chipTracers.push_back(tracers.back().get());
-    }
-    cfg.engine =
-        parallel ? EngineKind::Parallel : EngineKind::Serial;
-    cfg.shards = shards;
-    cfg.drainStop = true;
-    PiranhaSystem sys(cfg);
-    Snapshot s;
-    s.run = sys.run(wl, work_per_cpu);
-    s.statDump = statGroupToJson(sys.stats()).dump(0);
-    std::vector<std::vector<TraceEvent>> parts(cfg.nodes);
-    for (unsigned n = 0; n < cfg.nodes; ++n)
-        parts[n] = tracers[n]->events();
-    s.trace = mergeShardTraces(parts);
-    return s;
-}
-
-void
-expectCanonicalIdentical(const Snapshot &a, const Snapshot &b,
-                         const std::string &what)
-{
-    EXPECT_EQ(flattenRunResultComparable(a.run),
-              flattenRunResultComparable(b.run))
-        << what;
-    EXPECT_EQ(a.run.eventsEquivalent, b.run.eventsEquivalent) << what;
-    EXPECT_EQ(a.statDump, b.statDump) << what;
-#if PIRANHA_COHERENCE_TRACE
-    ASSERT_EQ(a.trace.size(), b.trace.size()) << what;
-    for (std::size_t i = 0; i < a.trace.size(); ++i)
-        EXPECT_TRUE(a.trace[i] == b.trace[i])
-            << what << ": coherence trace diverges at event " << i;
-#endif
-}
-
-TEST(TraceEngineInterop, RecordSerialReplayParallel)
-{
-    TempDir tmp;
-    std::string path = tmp.file("serial.ptrace");
-    SystemConfig cfg = configPn(2, 4);
-
-    Snapshot live = [&] {
-        RecordingWorkload rec(
-            std::make_unique<OltpWorkload>(OltpParams{}, 5), path,
-            cfg.name, "interop", cfg.nodes, cfg.cpusPerChip);
-        Snapshot s = runCanonical(cfg, rec, 12, /*parallel=*/false);
-        rec.finalize();
-        return s;
-    }();
-    ASSERT_TRUE(TraceReader::validateFile(path).ok());
-
-    for (unsigned shards : {2u, 4u}) {
-        TraceWorkload replay(path);
-        Snapshot par =
-            runCanonical(cfg, replay, replay.workPerCpu(),
-                         /*parallel=*/true, shards);
-        expectCanonicalIdentical(
-            live, par,
-            strFormat("serial-record -> parallel-replay shards=%u",
-                      shards));
-    }
-}
-
-TEST(TraceEngineInterop, RecordParallelReplaySerial)
-{
-    TempDir tmp;
-    std::string path = tmp.file("parallel.ptrace");
-    SystemConfig cfg = configPn(2, 4);
-
-    Snapshot live = [&] {
-        RecordingWorkload rec(
-            std::make_unique<OltpWorkload>(OltpParams{}, 9), path,
-            cfg.name, "interop", cfg.nodes, cfg.cpusPerChip);
-        Snapshot s =
-            runCanonical(cfg, rec, 12, /*parallel=*/true, 4);
-        rec.finalize();
-        return s;
-    }();
-    ASSERT_TRUE(TraceReader::validateFile(path).ok());
-
-    TraceWorkload replay(path);
-    Snapshot serial = runCanonical(cfg, replay, replay.workPerCpu(),
-                                   /*parallel=*/false);
-    expectCanonicalIdentical(live, serial,
-                             "parallel-record -> serial-replay");
-}
-
 } // namespace
 } // namespace piranha

@@ -119,11 +119,9 @@ TEST(OltpStream, PrivatePagesHomedAtOwnNode)
 
 TEST(OltpStream, StreamsGenerateIndependently)
 {
-    // The parallel engine refills streams on different threads in an
-    // order that varies with the shard count, so a stream's op
-    // sequence must not depend on when its siblings generate:
-    // interleaving two streams op-for-op must reproduce exactly the
-    // sequence each stream emits when drained alone.
+    // A stream's op sequence must not depend on when its siblings
+    // generate: interleaving two streams op-for-op must reproduce
+    // exactly the sequence each stream emits when drained alone.
     OltpWorkload wlA, wlB;
     EventQueue eqA, eqB;
     auto a0 = wlA.makeStream(eqA, 0, 2, 50, 0, amapFor(1));
