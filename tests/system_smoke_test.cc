@@ -20,6 +20,15 @@ struct SmokeCase
     SystemConfig (*make)();
 };
 
+/** gtest prints a parameter it has no printer for as its raw bytes,
+ *  here two pointers, so every process would list the cases under
+ *  different names; print the configuration name instead. */
+void
+PrintTo(const SmokeCase &c, std::ostream *os)
+{
+    *os << c.config;
+}
+
 SystemConfig makeP1() { return configP1(); }
 SystemConfig makeP8() { return configP8(); }
 SystemConfig makeOOO() { return configOOO(1); }
