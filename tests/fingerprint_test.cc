@@ -1,8 +1,10 @@
 /**
  * @file
- * Behaviour fingerprint: every job of the `quick` sweep, plus one
- * reduced-work 16-chip P4 OLTP point, must reproduce the stat-tree
- * hash and kernel event count pinned in tests/fingerprint.txt.
+ * Behaviour fingerprint: every job of the `quick` sweep, plus
+ * reduced-work OOO, 4-chip and 16-chip OLTP points, must reproduce
+ * the stat-tree hash and kernel event count pinned in
+ * tests/fingerprint.txt; quick P8/OLTP, quick P8/DSS and the 16-chip
+ * point must also reproduce their coherence-trace hash.
  *
  * A refactor that claims to keep behaviour bit-identical keeps this
  * file unchanged. A change that alters behaviour on purpose re-pins
@@ -17,6 +19,7 @@
 #include <sstream>
 #include <string>
 
+#include "check/trace.h"
 #include "harness/journal.h"
 #include "sweeps.h"
 
@@ -67,11 +70,11 @@ measure(const std::string &sweep, const std::vector<SweepPoint> &pts)
     return fp;
 }
 
+/** Compare recomputed lines @p got with the pinned lines of @p sweep. */
 void
-expectPinned(const std::string &sweep, const std::vector<SweepPoint> &pts)
+expectMatches(const std::string &sweep, const Fingerprint &got)
 {
     Fingerprint want = pinned(sweep);
-    Fingerprint got = measure(sweep, pts);
     EXPECT_EQ(want.size(), got.size()) << sweep << ": job count";
     bool same = want.size() == got.size();
     for (const auto &[label, line] : got) {
@@ -93,9 +96,22 @@ expectPinned(const std::string &sweep, const std::vector<SweepPoint> &pts)
     }
 }
 
-TEST(Fingerprint, QuickSweep)
+void
+expectPinned(const std::string &sweep, const std::vector<SweepPoint> &pts)
 {
-    expectPinned("quick", sweepQuick().expand());
+    expectMatches(sweep, measure(sweep, pts));
+}
+
+/** A reduced-work OLTP sweep of one configuration. */
+SweepSpec
+oltpPoint(const std::string &name, SystemConfig cfg, std::uint64_t txns)
+{
+    SweepSpec s(name);
+    s.addConfig(std::move(cfg))
+        .addWorkload(
+            "OLTP", [] { return std::make_unique<OltpWorkload>(); },
+            txns);
+    return s;
 }
 
 /**
@@ -103,14 +119,106 @@ TEST(Fingerprint, QuickSweep)
  * CPU): the only tested point above 8 chips, so it covers the ring
  * topology and multi-hop routing.
  */
+SweepSpec
+sixteenChipOltp()
+{
+    return oltpPoint("p4x16", configPn(4, 16), 256);
+}
+
+/** The SweepPoint labelled @p label in @p pts. */
+SweepPoint
+pointOf(const std::vector<SweepPoint> &pts, const std::string &label)
+{
+    for (const SweepPoint &pt : pts)
+        if (pt.label == label)
+            return pt;
+    ADD_FAILURE() << "no point " << label;
+    return SweepPoint{};
+}
+
+/** fnv1a64 over every field of every record, in record order. */
+std::uint64_t
+traceHash(const std::vector<TraceEvent> &events)
+{
+    std::string bytes;
+    auto put = [&bytes](std::uint64_t v, unsigned n) {
+        for (unsigned i = 0; i < n; ++i)
+            bytes.push_back(static_cast<char>(v >> (8 * i)));
+    };
+    for (const TraceEvent &e : events) {
+        put(e.tick, 8);
+        put(static_cast<std::uint64_t>(e.kind), 1);
+        put(static_cast<std::uint32_t>(e.node), 4);
+        put(static_cast<std::uint32_t>(e.l1), 4);
+        put(static_cast<std::uint32_t>(e.aux), 4);
+        put(e.state, 4);
+        put(e.size, 4);
+        put(static_cast<std::uint64_t>(e.src), 1);
+        put(e.addr, 8);
+        put(e.value, 8);
+        put(e.mask, 4);
+    }
+    return fnv1a64(bytes.data(), bytes.size());
+}
+
+TEST(Fingerprint, QuickSweep)
+{
+    expectPinned("quick", sweepQuick().expand());
+}
+
 TEST(Fingerprint, SixteenChipOltp)
 {
-    SweepSpec s("p4x16");
-    s.addConfig(configPn(4, 16))
-        .addWorkload(
-            "OLTP", [] { return std::make_unique<OltpWorkload>(); },
-            256);
-    expectPinned("p4x16", s.expand());
+    expectPinned("p4x16", sixteenChipOltp().expand());
+}
+
+/** The out-of-order baseline: issue width and overlap credit. */
+TEST(Fingerprint, OooOltp)
+{
+    expectPinned("ooo", oltpPoint("ooo", configOOO(), 128).expand());
+}
+
+/** P4 x 4 chips, one of ROADMAP's north-star measurement points. */
+TEST(Fingerprint, FourChipOltp)
+{
+    expectPinned("p4x4", oltpPoint("p4x4", configPn(4, 4), 128).expand());
+}
+
+/**
+ * Coherence traces: every record the L1s, L2 banks and protocol
+ * engines emit, in order, with its tick, state and value. Each point
+ * runs alone with its own tracer, which must not overwrite a record.
+ */
+TEST(Fingerprint, CoherenceTraces)
+{
+#if !PIRANHA_COHERENCE_TRACE
+    GTEST_SKIP() << "built with PIRANHA_TRACE=OFF";
+#endif
+    std::vector<SweepPoint> quick = sweepQuick().expand();
+    std::vector<SweepPoint> pts = {
+        pointOf(quick, "P8/OLTP"),
+        pointOf(quick, "P8/DSS"),
+        sixteenChipOltp().expand().at(0),
+    };
+    const char *labels[] = {"quick/P8/OLTP", "quick/P8/DSS",
+                            "p4x16/P4/OLTP"};
+    Fingerprint got;
+    for (std::size_t i = 0; i < pts.size(); ++i) {
+        CoherenceTracer tracer;
+        pts[i].label = labels[i];
+        pts[i].config.chip.tracer = &tracer;
+        SweepOptions opts;
+        opts.threads = 1;
+        opts.captureStatTree = false;
+        SweepReport rep = SweepRunner(opts).run("trace", {pts[i]});
+        const JobResult &j = rep.jobs.at(0);
+        EXPECT_EQ(j.status, JobStatus::Ok) << j.label << ": " << j.error;
+        EXPECT_EQ(tracer.dropped(), 0u) << j.label << ": tracer overflowed";
+        got[j.label] = strFormat(
+            "trace %s %016llx %llu", j.label.c_str(),
+            static_cast<unsigned long long>(traceHash(tracer.events())),
+            static_cast<unsigned long long>(tracer.recorded()));
+    }
+    expectMatches("trace", got);
 }
 
 } // namespace
