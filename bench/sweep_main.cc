@@ -190,7 +190,6 @@ usage()
         << "  --timeout SEC   per-job host wall-clock timeout\n"
         << "  --no-stat-tree  omit full StatGroup snapshots\n"
         << "  --verify        serial vs parallel bit-identity check\n"
-        << "  --no-fastpath   force the evented L1-hit slow path\n"
         << "  --seeds N       seeds per litmus program (default 8)\n"
         << "  --record DIR    capture each job to DIR/<label>.ptrace\n"
         << "  --replay PATH   run trace file(s) as replay jobs\n"
@@ -368,12 +367,6 @@ main(int argc, char **argv)
         } else if (arg == "--chaos-die-after" && i + 1 < argc) {
             opts.chaos.supervisorExitAfter =
                 static_cast<unsigned>(std::atoi(argv[++i]));
-        } else if (arg == "--no-fastpath") {
-            // Run every job through the evented L1-hit path; with
-            // --verify this doubles as a fastpath-off determinism
-            // check (results must match a fastpath-on run
-            // bit-for-bit except events_executed).
-            Core::setDefaultFastPathEnabled(false);
         } else if (!arg.empty() && arg[0] != '-' && sweep_name.empty()) {
             sweep_name = arg;
         } else {

@@ -66,7 +66,7 @@ L1Cache::DrainEvent::process()
 {
     PIR_PROF(L1);
     // Recycle before draining: the drain pass may schedule the next
-    // one, and the legacy kernel allowed two passes in flight.
+    // one, and two passes can be in flight.
     L1Cache *c = cache;
     c->_drainEvents.release(this);
     c->drainStoreBuffer();
@@ -84,7 +84,6 @@ L1Cache::respond(RspHandler &rsp, std::uint64_t value, FillSource src,
 {
     if (!rsp)
         return;
-    ++respondEventsScheduled;
     RespondEvent *ev = _respondEvents.acquire(this);
     ev->handler = std::move(rsp);
     ev->rsp = MemRsp{value, src};
@@ -103,68 +102,52 @@ L1Cache::access(const MemReq &req, MemRspClient *client)
     startAccess(req, RspHandler(client));
 }
 
-bool
-L1Cache::accessFast(const MemReq &req, MemRsp &out)
+void
+L1Cache::traceStoreIssue(const MemReq &req)
 {
-#if !PIRANHA_L1_FASTPATH
-    (void)req;
-    (void)out;
-    return false;
-#else
-    // Each arm below mirrors the corresponding tryStart() hit arm
-    // exactly — same gating, same stats, same trace records at the
-    // same tick — minus the respond() event. Anything tryStart would
-    // queue, block, or miss on is refused with no side effects; the
-    // caller falls back to access(), which behaves identically, so
-    // refusal is always safe. Hits deliberately do NOT check the
-    // MSHR: the slow path completes hits while a store-buffer drain
-    // miss is outstanding, and this path must too.
-    if (!_cpuQueue.empty())
-        return false; // queued work must keep its FIFO order
+    PIR_TRACE(_p.tracer, TraceEvent{.tick = curTick(),
+                                    .kind = TraceKind::StoreIssue,
+                                    .node = _p.node,
+                                    .l1 = _l1Id,
+                                    .size = req.size,
+                                    .addr = req.addr,
+                                    .value = req.value});
+}
 
+bool
+L1Cache::tryHit(const MemReq &req, MemRsp &out)
+{
+    // Hits deliberately do NOT check the MSHR: a hit completes while
+    // a store-buffer drain miss is outstanding. A parity-bad line is
+    // never a hit; tryStart runs its recovery.
     if (req.op == MemOp::Store && req.atomic) {
+        // Store-conditional: bypass the store buffer; complete only
+        // when the line is modifiable and the data applied (globally
+        // ordered).
         L1Line *l = _tags.find(req.addr);
         if (!(l && (l->state == L1State::M || l->state == L1State::E)))
             return false;
 #if PIRANHA_FAULT_INJECT
         if (l->parityBad)
-            return false; // slow path runs the parity recovery
+            return false;
 #endif
-        PIR_TRACE(_p.tracer,
-                  TraceEvent{.tick = curTick(),
-                             .kind = TraceKind::StoreIssue,
-                             .node = _p.node,
-                             .l1 = _l1Id,
-                             .size = req.size,
-                             .addr = req.addr,
-                             .value = req.value});
+        traceStoreIssue(req);
         applyStore(*l, SbEntry{req.addr, req.size, req.value});
         ++statHits;
-        ++fastHits;
         out = MemRsp{0, FillSource::L1};
         return true;
     }
 
     if (req.op == MemOp::Store) {
         if (_sb.size() >= _p.storeBufferDepth)
-            return false; // must queue behind the drain
+            return false;
         _sb.push_back(SbEntry{req.addr, req.size, req.value});
-        PIR_TRACE(_p.tracer,
-                  TraceEvent{.tick = curTick(),
-                             .kind = TraceKind::StoreIssue,
-                             .node = _p.node,
-                             .l1 = _l1Id,
-                             .size = req.size,
-                             .addr = req.addr,
-                             .value = req.value});
+        traceStoreIssue(req);
         ++statHits;
-        ++fastHits;
         out = MemRsp{0, FillSource::StoreBuffer};
         if (!_drainScheduled) {
-            // Deferred: the drain must file after the caller's
-            // completion position (see commitFastDrain).
             _drainScheduled = true;
-            _fastDrainPending = true;
+            _drainArmed = true;
         }
         return true;
     }
@@ -175,12 +158,11 @@ L1Cache::accessFast(const MemReq &req, MemRsp &out)
             return false;
 #if PIRANHA_FAULT_INJECT
         if (l->parityBad)
-            return false; // slow path runs the parity recovery
+            return false;
 #endif
         l->state = L1State::M;
         _tags.touch(*l);
         ++statHits;
-        ++fastHits;
         out = MemRsp{0, FillSource::L1};
         return true;
     }
@@ -190,7 +172,6 @@ L1Cache::accessFast(const MemReq &req, MemRsp &out)
     if (!_p.isInstr && sbCovers(req.addr, req.size, sb_value)) {
         ++statHits;
         ++statSbForwards;
-        ++fastHits;
         PIR_TRACE(_p.tracer,
                   TraceEvent{.tick = curTick(),
                              .kind = TraceKind::LoadCommit,
@@ -208,11 +189,10 @@ L1Cache::accessFast(const MemReq &req, MemRsp &out)
         return false;
 #if PIRANHA_FAULT_INJECT
     if (l->parityBad)
-        return false; // slow path runs the parity recovery
+        return false;
 #endif
     _tags.touch(*l);
     ++statHits;
-    ++fastHits;
     std::uint64_t v = composeLoad(*l, req.addr, req.size);
     PIR_TRACE(_p.tracer,
               TraceEvent{.tick = curTick(),
@@ -225,7 +205,6 @@ L1Cache::accessFast(const MemReq &req, MemRsp &out)
                          .value = v});
     out = MemRsp{v, FillSource::L1};
     return true;
-#endif // PIRANHA_L1_FASTPATH
 }
 
 void
@@ -246,152 +225,42 @@ L1Cache::tryStart()
     while (!_cpuQueue.empty()) {
         PendingCpu &pc = _cpuQueue.front();
         const MemReq &req = pc.req;
-
-        if (req.op == MemOp::Store && req.atomic) {
-            // Store-conditional: bypass the store buffer; complete
-            // only when the line is modifiable and the data applied
-            // (globally ordered).
-            L1Line *l = _tags.find(req.addr);
-#if PIRANHA_FAULT_INJECT
-            if (l && l->parityBad) {
-                // Detected at use: refetch exclusively (an S-state
-                // upgrade would keep the corrupt data), or machine
-                // check when the only good copy was here.
-                if (!startParityRecovery(req, pc.rsp, *l))
-                    return;
-                _cpuQueue.pop_front();
-                continue;
-            }
-#endif
-            if (l && (l->state == L1State::M ||
-                      l->state == L1State::E)) {
-                PIR_TRACE(_p.tracer,
-                          TraceEvent{.tick = curTick(),
-                                     .kind = TraceKind::StoreIssue,
-                                     .node = _p.node,
-                                     .l1 = _l1Id,
-                                     .size = req.size,
-                                     .addr = req.addr,
-                                     .value = req.value});
-                applyStore(*l, SbEntry{req.addr, req.size, req.value});
-                ++statHits;
-                respond(pc.rsp, 0, FillSource::L1);
-                _cpuQueue.pop_front();
-                continue;
-            }
-            if (_mshr.valid)
-                return;
-            PIR_TRACE(_p.tracer,
-                      TraceEvent{.tick = curTick(),
-                                 .kind = TraceKind::StoreIssue,
-                                 .node = _p.node,
-                                 .l1 = _l1Id,
-                                 .size = req.size,
-                                 .addr = req.addr,
-                                 .value = req.value});
-            issueMiss(req, std::move(pc.rsp),
-                      l && l->state == L1State::S);
+        MemRsp hit;
+        if (tryHit(req, hit)) {
+            respond(pc.rsp, hit.value, hit.source);
             _cpuQueue.pop_front();
+            commitDrain();
             continue;
         }
+        if (req.op == MemOp::Store && !req.atomic)
+            return; // wait for drain to free a slot
 
-        if (req.op == MemOp::Store) {
-            if (_sb.size() >= _p.storeBufferDepth)
-                return; // wait for drain to free a slot
-            _sb.push_back(SbEntry{req.addr, req.size, req.value});
-            PIR_TRACE(_p.tracer,
-                      TraceEvent{.tick = curTick(),
-                                 .kind = TraceKind::StoreIssue,
-                                 .node = _p.node,
-                                 .l1 = _l1Id,
-                                 .size = req.size,
-                                 .addr = req.addr,
-                                 .value = req.value});
-            ++statHits;
-            respond(pc.rsp, 0, FillSource::StoreBuffer);
-            _cpuQueue.pop_front();
-            if (!_drainScheduled) {
-                _drainScheduled = true;
-                scheduleDrain();
-            }
-            continue;
-        }
-
-        if (req.op == MemOp::Wh64) {
-            L1Line *l = _tags.find(req.addr);
-#if PIRANHA_FAULT_INJECT
-            if (l && l->parityBad) {
-                // The write hint overwrites the whole line and leaves
-                // its contents architecturally undefined — the parity
-                // error is masked by the overwrite.
-                l->parityBad = false;
-                if (_p.injector)
-                    ++_p.injector->counters.parityMaskedByOverwrite;
-            }
-#endif
-            if (l && (l->state == L1State::M || l->state == L1State::E)) {
-                l->state = L1State::M;
-                _tags.touch(*l);
-                ++statHits;
-                respond(pc.rsp, 0, FillSource::L1);
-                _cpuQueue.pop_front();
-                continue;
-            }
-            if (_mshr.valid)
-                return;
-            issueMiss(req, std::move(pc.rsp),
-                      l && l->state == L1State::S);
-            _cpuQueue.pop_front();
-            continue;
-        }
-
-        // Load / Ifetch.
-        std::uint64_t sb_value = 0;
-        if (!_p.isInstr && sbCovers(req.addr, req.size, sb_value)) {
-            ++statHits;
-            ++statSbForwards;
-            PIR_TRACE(_p.tracer,
-                      TraceEvent{.tick = curTick(),
-                                 .kind = TraceKind::LoadCommit,
-                                 .node = _p.node,
-                                 .l1 = _l1Id,
-                                 .size = req.size,
-                                 .src = FillSource::StoreBuffer,
-                                 .addr = req.addr,
-                                 .value = sb_value});
-            respond(pc.rsp, sb_value, FillSource::StoreBuffer);
-            _cpuQueue.pop_front();
-            continue;
-        }
         L1Line *l = _tags.find(req.addr);
 #if PIRANHA_FAULT_INJECT
         if (l && l->parityBad) {
+            if (req.op == MemOp::Wh64) {
+                // The write hint overwrites the whole line and leaves
+                // its contents architecturally undefined — the parity
+                // error is masked by the overwrite. Retry the request.
+                l->parityBad = false;
+                if (_p.injector)
+                    ++_p.injector->counters.parityMaskedByOverwrite;
+                continue;
+            }
+            // Detected at use: refetch (exclusively for a store: an
+            // S-state upgrade would keep the corrupt data), or machine
+            // check when the only good copy was here.
             if (!startParityRecovery(req, pc.rsp, *l))
                 return;
             _cpuQueue.pop_front();
             continue;
         }
 #endif
-        if (l) {
-            _tags.touch(*l);
-            ++statHits;
-            std::uint64_t v = composeLoad(*l, req.addr, req.size);
-            PIR_TRACE(_p.tracer,
-                      TraceEvent{.tick = curTick(),
-                                 .kind = TraceKind::LoadCommit,
-                                 .node = _p.node,
-                                 .l1 = _l1Id,
-                                 .size = req.size,
-                                 .src = FillSource::L1,
-                                 .addr = req.addr,
-                                 .value = v});
-            respond(pc.rsp, v, FillSource::L1);
-            _cpuQueue.pop_front();
-            continue;
-        }
         if (_mshr.valid)
             return; // blocking cache: one outstanding miss
-        issueMiss(req, std::move(pc.rsp), false);
+        if (req.op == MemOp::Store)
+            traceStoreIssue(req);
+        issueMiss(req, std::move(pc.rsp), l && l->state == L1State::S);
         _cpuQueue.pop_front();
     }
 }

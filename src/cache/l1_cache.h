@@ -136,42 +136,36 @@ class L1Cache : public SimObject, public IcsClient
     void access(const MemReq &req, MemRspClient *client);
 
     /**
-     * Fast-path probe: if @p req is a hit that the slow path would
-     * complete synchronously (tag hit, store-buffer space, SB-covered
-     * load), perform the cache-side effects now — stats, trace,
-     * store-buffer insert, line update — write the response into
-     * @p out and return true WITHOUT scheduling anything. The caller
-     * (Core) owns the hit-latency delay: it either schedules its own
-     * completion event or, when the event queue is provably quiet,
-     * advances the clock and completes inline. Returns false (no side
-     * effects) for anything the slow path would queue or miss on;
-     * callers then use access() unchanged.
+     * The L1-hit routine. If @p req hits — tag hit, store-buffer
+     * space, or a load the store buffer covers — apply the hit's side
+     * effects now (tag touch, stats, trace record, store-buffer push),
+     * write the response into @p out and return true without
+     * scheduling anything. Otherwise (miss, full store buffer,
+     * parity-bad line) return false with no side effects.
      *
-     * A fast store that arms the drain must be followed by
-     * commitFastDrain() once the caller has fixed its completion
-     * position, so the drain files after the (real or virtual)
-     * response event — the slow path's respond-then-drain order.
+     * The caller owns the hit-latency delay. A store hit that arms
+     * the store-buffer drain must be followed by commitDrain() once
+     * the caller has placed its completion, so the drain files after
+     * it in the (tick, seq) order.
      */
-    bool accessFast(const MemReq &req, MemRsp &out);
+    bool tryHit(const MemReq &req, MemRsp &out);
 
-    /** Schedule the drain pass deferred by a fast store (see above). */
+    /** Schedule the drain pass armed by a store hit, if any. */
     void
-    commitFastDrain()
+    commitDrain()
     {
-        if (_fastDrainPending) {
-            _fastDrainPending = false;
+        if (_drainArmed) {
+            _drainArmed = false;
             scheduleDrain();
         }
     }
 
-    /** Hit latency in cycles (fast-path callers model the delay). */
-    unsigned hitLatencyCycles() const { return _p.hitCycles; }
+    /** True when no CPU request is waiting (tryHit keeps FIFO order
+     *  only when called on an idle cache). */
+    bool idle() const { return _cpuQueue.empty(); }
 
-    /** Hits completed through accessFast (not a Scalar: host-side
-     *  instrumentation must stay out of the bit-identical stat set). */
-    std::uint64_t fastHits = 0;
-    /** respond() events scheduled (slow-path completions). */
-    std::uint64_t respondEventsScheduled = 0;
+    /** Hit latency in cycles (inline callers model the delay). */
+    unsigned hitLatencyCycles() const { return _p.hitCycles; }
 
     void icsDeliver(const IcsMsg &msg) override;
 
@@ -282,6 +276,7 @@ class L1Cache : public SimObject, public IcsClient
     void completeMiss(const IcsMsg &msg);
     void drainStoreBuffer();
     void scheduleDrain();
+    void traceStoreIssue(const MemReq &req);
     void applyStore(L1Line &line, const SbEntry &e);
     std::uint64_t composeLoad(const L1Line &line, Addr addr,
                               unsigned size) const;
@@ -304,8 +299,8 @@ class L1Cache : public SimObject, public IcsClient
     /** Set when a drain pass is scheduled; cleared when one begins
      *  executing (so the pass itself reschedules without a guard). */
     bool _drainScheduled = false;
-    /** Fast store armed the drain; scheduled by commitFastDrain(). */
-    bool _fastDrainPending = false;
+    /** A store hit armed the drain; scheduled by commitDrain(). */
+    bool _drainArmed = false;
     EventPool<DrainEvent> _drainEvents;
     /** One respond in flight is the in-order-CPU steady state; test
      *  drivers that pipeline accesses overflow into pooled events. */

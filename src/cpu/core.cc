@@ -18,9 +18,6 @@ Core::Core(EventQueue &eq, std::string name, const Clock &clk,
         // the bound is the window depth in cycles.
         _creditCap = static_cast<double>(_clk.cycles(_p.windowSize));
     }
-#if PIRANHA_L1_FASTPATH
-    _fastEnabled = _p.fastPath && defaultFastPathEnabled();
-#endif
 }
 
 void
@@ -58,7 +55,7 @@ void
 Core::nextOp()
 {
     PIR_PROF(Core);
-    // Op loop: a zero-event fast hit completes inline with the clock
+    // Op loop: a zero-event hit completes inline with the clock
     // advanced to its hit-latency tick, so the next op is pulled here
     // instead of through a scheduled event — same ticks, same stream
     // pull order, no recursion for long hit streaks.
@@ -83,55 +80,38 @@ Core::nextOp()
 }
 
 /**
- * Fast-path issue of @p req to @p l1. On a hit the L1 has already
- * performed its side effects at the issue tick (exactly as the slow
- * path's synchronous tryStart does); what remains is the hit-latency
- * delay before the core-side completion, which the slow path models
- * with the L1's pooled RespondEvent:
+ * Issue @p req to @p l1. The L1 always applies a hit's side effects
+ * at the issue tick; what remains is the hit-latency delay before the
+ * core-side completion. When the L1 has no queued request and no
+ * event anywhere fires at or before the completion tick, nothing can
+ * observe the interval: the hit completes inline, the clock advances
+ * directly and no event is scheduled (returns true, @p rsp filled).
+ * The drain behind a store hit is committed first, so it files ahead
+ * of anything the inline continuation schedules — the order in which
+ * the L1's respond-then-drain would have filed them.
  *
- *  - Inline: when no event anywhere fires at or before the completion
- *    tick, nothing can observe the interval, so the clock advances
- *    directly and the completion runs with zero events scheduled.
- *    The drain behind a fast store is committed first so it files
- *    ahead of anything the (inline) continuation schedules — the
- *    slow path's respond-before-drain seq order.
- *  - Evented: otherwise the core schedules its own _fastRspEvent at
- *    the same delay and from the same program point where the slow
- *    path would schedule the RespondEvent, replacing it 1:1 in the
- *    (tick, seq) order; the drain is committed after, again matching
- *    respond-before-drain.
+ * In every other case the request goes through L1Cache::access(),
+ * whose pooled RespondEvent fills the (tick, seq) slot a hit's
+ * completion takes; the core completes in memRsp() (returns false).
  *
  * Stream pulls never move: a pull happens either in a scheduled event
- * or inline at an advanced tick that equals the slow path's respond
- * tick, so workloads that read curTick() or share cross-CPU state at
- * pull time (OLTP's log lock) see identical sequences.
+ * or inline at an advanced tick that equals the respond tick, so
+ * workloads that read curTick() or share cross-CPU state at pull time
+ * (OLTP's log lock) see identical sequences.
  */
-Core::FastIssue
-Core::tryFastAccess(L1Cache &l1, const MemReq &req, MemRsp &rsp)
+bool
+Core::issue(L1Cache &l1, const MemReq &req, MemRsp &rsp)
 {
-#if !PIRANHA_L1_FASTPATH
-    (void)l1;
-    (void)req;
-    (void)rsp;
-    return FastIssue::NotTaken;
-#else
-    if (!_fastEnabled || !l1.accessFast(req, rsp))
-        return FastIssue::NotTaken;
     EventQueue &eq = eventQueue();
-    Tick delay = _clk.cycles(l1.hitLatencyCycles());
-    Tick when = curTick() + delay;
-    if (eq.quietThrough(when)) {
+    Tick when = curTick() + _clk.cycles(l1.hitLatencyCycles());
+    if (l1.idle() && eq.quietThrough(when) && l1.tryHit(req, rsp)) {
         ++inlineHits;
-        l1.commitFastDrain();
+        l1.commitDrain();
         eq.advanceTo(when);
-        return FastIssue::Inline;
+        return true;
     }
-    ++eventedHits;
-    _fastRsp = rsp;
-    scheduleIn(_fastRspEvent, delay);
-    l1.commitFastDrain();
-    return FastIssue::Evented;
-#endif
+    l1.access(req, this);
+    return false;
 }
 
 bool
@@ -146,25 +126,14 @@ Core::fetchThenExecute(StreamOp op)
     req.op = MemOp::Ifetch;
     req.addr = op.pc;
     req.size = static_cast<std::uint8_t>(_p.ifetchBytes);
-    Tick issued = curTick();
-    MemRsp rsp;
-    switch (tryFastAccess(_il1, req, rsp)) {
-      case FastIssue::Inline:
-        completeMem(op, issued, true, rsp);
-        return execute(op);
-      case FastIssue::Evented:
-        _pendingOp = op;
-        _pendingIssued = issued;
-        _pendingIfetch = true;
-        return false;
-      case FastIssue::NotTaken:
-        break;
-    }
     _pendingOp = op;
-    _pendingIssued = issued;
+    _pendingIssued = curTick();
     _pendingIfetch = true;
-    _il1.access(req, this);
-    return false;
+    MemRsp rsp;
+    if (!issue(_il1, req, rsp))
+        return false;
+    completeMem(op, _pendingIssued, true, rsp);
+    return execute(op);
 }
 
 bool
@@ -201,26 +170,15 @@ Core::execute(StreamOp op)
         req.op = op.kind == StreamOp::Kind::Load    ? MemOp::Load
                  : op.kind == StreamOp::Kind::Store ? MemOp::Store
                                                     : MemOp::Wh64;
-        Tick issued = curTick();
-        MemRsp rsp;
-        switch (tryFastAccess(_dl1, req, rsp)) {
-          case FastIssue::Inline:
-            completeMem(op, issued, false, rsp);
-            _stream->memCompleted(op, rsp.value);
-            return true; // continue the op loop at the advanced tick
-          case FastIssue::Evented:
-            _pendingOp = op;
-            _pendingIssued = issued;
-            _pendingIfetch = false;
-            return false;
-          case FastIssue::NotTaken:
-            break;
-        }
         _pendingOp = op;
-        _pendingIssued = issued;
+        _pendingIssued = curTick();
         _pendingIfetch = false;
-        _dl1.access(req, this);
-        return false;
+        MemRsp rsp;
+        if (!issue(_dl1, req, rsp))
+            return false;
+        completeMem(op, _pendingIssued, false, rsp);
+        _stream->memCompleted(op, rsp.value);
+        return true; // continue the op loop at the advanced tick
       }
       default:
         panic("%s: bad op kind", name().c_str());

@@ -39,14 +39,6 @@ struct CoreParams
     unsigned windowSize = 0;     //!< 0: in-order (no overlap credit)
     WorkloadIlp ilp{};           //!< workload-dependent OOO behavior
     unsigned ifetchBytes = 4;    //!< Alpha instruction size
-
-    /**
-     * Use the zero-event L1-hit fast path (see L1Cache::accessFast).
-     * Timing and stats are bit-identical either way — the knob (plus
-     * Core::setDefaultFastPathEnabled and the PIRANHA_FASTPATH
-     * configure option) exists so that identity can be verified.
-     */
-    bool fastPath = true;
 };
 
 /** A CPU core driving one dL1/iL1 pair. */
@@ -75,25 +67,9 @@ class Core : public SimObject, public MemRspClient
     /** Detach this core's stat group before the core is destroyed. */
     void unregStats(StatGroup &parent) { parent.removeChild(&_stats); }
 
-    /**
-     * Process-wide default for CoreParams::fastPath, sampled at core
-     * construction (mirrors EventQueue::setDefaultWheelEnabled): one
-     * binary can run fast and slow modes back to back and compare.
-     */
-    static void setDefaultFastPathEnabled(bool on)
-    {
-        defaultFastPathFlag() = on;
-    }
-    static bool defaultFastPathEnabled() { return defaultFastPathFlag(); }
-
-    /** True when this core actually uses the fast path. */
-    bool fastPathEnabled() const { return _fastEnabled; }
-
-    // Host-side fast-path instrumentation. Deliberately NOT Scalars:
-    // these differ between fast and slow modes by design and must not
-    // enter the bit-identical StatGroup tree.
-    std::uint64_t inlineHits = 0;  //!< hits completed with 0 events
-    std::uint64_t eventedHits = 0; //!< fast hits via _fastRspEvent
+    /** L1 hits completed inline, with no event (host-side: not a
+     *  Scalar, so it stays out of the bit-identical stat tree). */
+    std::uint64_t inlineHits = 0;
 
     // Accounted tick breakdown (paper Fig. 5 categories).
     Scalar statBusy;        //!< CPU busy (issue-limited) time
@@ -106,33 +82,16 @@ class Core : public SimObject, public MemRspClient
     Scalar statIfetches;
 
   private:
-    /** How tryFastAccess disposed of a request. */
-    enum class FastIssue
-    {
-        NotTaken, //!< refused; caller must use the slow path
-        Evented,  //!< hit; completion scheduled on _fastRspEvent
-        Inline,   //!< hit; clock advanced, completion already done
-    };
-
-    static bool &
-    defaultFastPathFlag()
-    {
-        static bool flag = true;
-        return flag;
-    }
-
     // fetchThenExecute/execute return true when the op completed
-    // inline (zero-event fast hit) and the caller's op loop should
-    // pull the next op at the advanced tick.
+    // inline (zero-event hit) and the caller's op loop should pull the
+    // next op at the advanced tick.
     bool fetchThenExecute(StreamOp op);
     bool execute(StreamOp op);
-    FastIssue tryFastAccess(L1Cache &l1, const MemReq &req, MemRsp &rsp);
+    bool issue(L1Cache &l1, const MemReq &req, MemRsp &rsp);
     void completeMem(const StreamOp &op, Tick issued, bool ifetch,
                      const MemRsp &rsp);
     void chargeStall(Tick stall, FillSource source);
     void nextOp();
-    /** Fires at the hit-latency tick of an Evented fast hit. */
-    void fastRspDone() { memRsp(_fastRsp); }
     /** L1 completion for the single outstanding access. */
     void memRsp(const MemRsp &rsp) override;
     double busyCyclesPerInstr() const;
@@ -155,13 +114,7 @@ class Core : public SimObject, public MemRspClient
     StreamOp _pendingOp{};
     Tick _pendingIssued = 0;
     bool _pendingIfetch = false;
-    bool _fastEnabled = false;
-    MemRsp _fastRsp{};
     MemberEvent<Core, &Core::nextOp> _nextOpEvent{this, "core.nextOp"};
-    /** Completion pipeline stage of an Evented fast hit: replaces the
-     *  L1's pooled RespondEvent 1:1 (same tick, same seq position). */
-    MemberEvent<Core, &Core::fastRspDone> _fastRspEvent{this,
-                                                       "core.memDone"};
     StatGroup _stats;
 };
 

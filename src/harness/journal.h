@@ -46,10 +46,12 @@ class JobJournal
     /**
      * Current journal format version (H record "version"). Version 2
      * dropped the `events_equivalent` stat and the `engine_fallback`
-     * flag from job results; a version-1 journal is refused rather
-     * than resumed into a report that mixes the two schemas.
+     * flag from job results; version 3 dropped the `evented_hits` and
+     * `l1_respond_events` keys of the `fastpath` object. An older
+     * journal is refused rather than resumed into a report that mixes
+     * two schemas.
      */
-    static constexpr unsigned kVersion = 2;
+    static constexpr unsigned kVersion = 3;
 
     /** What load() recovered from an existing journal. */
     struct Recovery

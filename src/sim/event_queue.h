@@ -77,8 +77,7 @@ class EventQueue
     friend class LambdaEvent;
 
   public:
-    EventQueue() : _wheelEnabled(defaultWheelEnabled()) {}
-    explicit EventQueue(bool use_wheel) : _wheelEnabled(use_wheel) {}
+    EventQueue() = default;
     ~EventQueue();
 
     EventQueue(const EventQueue &) = delete;
@@ -212,10 +211,11 @@ class EventQueue
 
     /**
      * True when no pending event fires at or before @p t — i.e. the
-     * interval (curTick, t] is free of scheduled work. Used by the
-     * zero-event L1-hit fast path to prove that completing an access
-     * inline (and advancing the clock) cannot reorder against any
-     * other component's events.
+     * interval (curTick, t] is free of scheduled work. A component
+     * that finds it quiet may complete work due at @p t inline and
+     * advanceTo(t) instead of scheduling an event: nothing else can
+     * run in between, so the (tick, seq) order is unchanged. The core
+     * completes L1 hits this way.
      */
     bool
     quietThrough(Tick t)
@@ -240,18 +240,6 @@ class EventQueue
         if (t > _curTick)
             _curTick = t;
     }
-
-    /**
-     * Process-wide default for new queues: timing wheel + heap
-     * (true, the default) or heap-only. Heap-only exists so
-     * benchmarks can measure the wheel's contribution on one binary;
-     * both modes execute events in the identical (when, seq) order.
-     */
-    static void setDefaultWheelEnabled(bool on) { defaultWheelFlag() = on; }
-    static bool defaultWheelEnabled() { return defaultWheelFlag(); }
-
-    /** True when this queue files near events in the wheel. */
-    bool wheelEnabled() const { return _wheelEnabled; }
 
   private:
     // Wheel geometry: 256 buckets of 2^11 ticks (~1 cycle at 500 MHz)
@@ -282,7 +270,7 @@ class EventQueue
         ev._sched = true;
         ++_numPending;
         std::uint64_t blk = when >> kBucketShift;
-        if (_wheelEnabled && blk - (_curTick >> kBucketShift) < kNumBuckets)
+        if (blk - (_curTick >> kBucketShift) < kNumBuckets)
             insertWheel(ev, blk);
         else
             insertHeap(ev);
@@ -306,13 +294,6 @@ class EventQueue
             return a.seq > b.seq;
         }
     };
-
-    static bool &
-    defaultWheelFlag()
-    {
-        static bool flag = true;
-        return flag;
-    }
 
     void
     insertWheel(Event &ev, std::uint64_t blk)
@@ -460,7 +441,6 @@ class EventQueue
     void releaseLambda(LambdaEvent *ev);
     void purgeHeapRefs(Event *ev);
 
-    bool _wheelEnabled;
     Tick _curTick = 0;
     std::uint64_t _nextSeq = kNormalSeqBase;
     std::uint64_t _nextPrioSeq = 0;

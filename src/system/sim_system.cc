@@ -150,17 +150,6 @@ PiranhaSystem::run(Workload &wl, std::uint64_t work_per_cpu,
 
     Tick deadline = _eq.curTick() + max_time;
     std::uint64_t events_before = _eq.executed();
-    // L1s persist across run() calls, so their host-side counters are
-    // cumulative; report this run's delta.
-    std::uint64_t l1_fast_before = 0, l1_resp_before = 0;
-    for (unsigned n = 0; n < _cfg.nodes; ++n) {
-        for (unsigned c = 0; c < _cfg.cpusPerChip; ++c) {
-            l1_fast_before += _chips[n]->dl1(c).fastHits;
-            l1_fast_before += _chips[n]->il1(c).fastHits;
-            l1_resp_before += _chips[n]->dl1(c).respondEventsScheduled;
-            l1_resp_before += _chips[n]->il1(c).respondEventsScheduled;
-        }
-    }
     prof::reset();
     bool aborted = false;
     std::uint64_t iter = 0;
@@ -275,18 +264,8 @@ PiranhaSystem::run(Workload &wl, std::uint64_t work_per_cpu,
         idle += _cores[i]->statIdle.value();
         r.instructions += _cores[i]->statInstrs.value();
         r.fastInlineHits += _cores[i]->inlineHits;
-        r.fastEventedHits += _cores[i]->eventedHits;
     }
-    for (unsigned n = 0; n < _cfg.nodes; ++n) {
-        for (unsigned c = 0; c < _cfg.cpusPerChip; ++c) {
-            r.l1FastHits += _chips[n]->dl1(c).fastHits;
-            r.l1FastHits += _chips[n]->il1(c).fastHits;
-            r.l1RespondEvents += _chips[n]->dl1(c).respondEventsScheduled;
-            r.l1RespondEvents += _chips[n]->il1(c).respondEventsScheduled;
-        }
-    }
-    r.l1FastHits -= l1_fast_before;
-    r.l1RespondEvents -= l1_resp_before;
+    r.l1FastHits = r.fastInlineHits;
     r.profile = prof::snapshot();
     double total = busy + hit + miss + idle;
     if (total > 0) {

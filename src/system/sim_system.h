@@ -47,13 +47,10 @@ struct RunResult
     /** Kernel events executed by this run (deterministic). */
     std::uint64_t eventsExecuted = 0;
 
-    // Fast-path instrumentation (host-side; never part of the
-    // bit-identity stat comparison — a slow-mode run reports zeros
-    // for the first three while producing identical simulation stats).
-    std::uint64_t fastInlineHits = 0;  //!< L1 hits with 0 events
-    std::uint64_t fastEventedHits = 0; //!< L1 hits via core.memDone
-    std::uint64_t l1FastHits = 0;      //!< hits taken by accessFast
-    std::uint64_t l1RespondEvents = 0; //!< slow-path respond events
+    // Inline-hit instrumentation (host-side; never part of the
+    // bit-identity stat comparison).
+    std::uint64_t fastInlineHits = 0; //!< L1 hits with 0 events
+    std::uint64_t l1FastHits = 0;     //!< same count (perfbench reads both)
 
     /**
      * Host-time breakdown by component zone (seconds), captured when

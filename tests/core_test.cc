@@ -2,13 +2,15 @@
  * @file
  * CPU timing-model tests: in-order accounting (full stalls), the
  * out-of-order model's issue-width and overlap-credit behavior, the
- * instruction-fetch stream, and end-to-end Core-on-chip runs.
+ * instruction-fetch stream, end-to-end Core-on-chip runs, and inline
+ * (zero-event) L1 hits in full systems.
  */
 
 #include <gtest/gtest.h>
 
 #include <deque>
 
+#include "core/piranha.h"
 #include "cpu/core.h"
 #include "test_system.h"
 
@@ -201,6 +203,25 @@ TEST(Core, StoresRetireThroughStoreBuffer)
     EXPECT_EQ(h.core->statStores.value(), 1.0);
     // The store must land in memory-visible state.
     EXPECT_EQ(h.sys.load(0, 0, 0x6000000), 77u);
+}
+
+/**
+ * Long hit streaks leave the event queue quiet, so some L1 hits must
+ * complete inline with no event: on one CPU running OLTP and on eight
+ * CPUs streaming DSS.
+ */
+TEST(Core, InlineHitsEngageSomewhere)
+{
+    OltpWorkload oltp;
+    PiranhaSystem p1(configP1());
+    RunResult r1 = p1.run(oltp, 20);
+    EXPECT_GT(r1.fastInlineHits, 0u);
+
+    DssWorkload dss;
+    PiranhaSystem p8(configP8());
+    RunResult r8 = p8.run(dss, 2);
+    EXPECT_GT(r8.fastInlineHits, 0u);
+    EXPECT_EQ(r8.l1FastHits, r8.fastInlineHits);
 }
 
 } // namespace

@@ -3,18 +3,20 @@
  * Intrusive event-kernel tests: wheel/heap ordering across the
  * horizon, wrap-around, deschedule/reschedule of in-flight events,
  * misuse panics, monotonic time across run/step boundaries, and a
- * randomized execution-order equivalence check against the preserved
- * closure/priority-queue kernel (LegacyEventQueue).
+ * randomized execution-order equivalence check against an in-test
+ * reference kernel.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
+#include <queue>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "sim/event_queue.h"
-#include "sim/legacy_event_queue.h"
 #include "sim/rng.h"
 
 namespace piranha {
@@ -278,61 +280,182 @@ TEST(EventKernel, DestructorOfScheduledEventDeschedules)
 }
 
 /**
- * Replays one pseudo-random schedule script into a queue. Each fired
- * event logs its id and may schedule children at deterministic deltas
- * spanning wheel range, the horizon boundary and far-heap range, so
- * both containers stay populated.
+ * Reference kernel: the legacy heap kernel's order rule in one
+ * std::priority_queue keyed on (tick, seq), with EventQueue's two
+ * sequence bands (a priority event sorts ahead of every normal event
+ * of its tick) and cancellation by id. Every id is scheduled once.
  */
-template <class Queue>
-std::vector<int>
-runScript(Queue &q, std::uint64_t seed)
+class RefQueue
+{
+  public:
+    explicit RefQueue(std::function<void(int)> fire) : _fire(fire) {}
+    Tick curTick() const { return _now; }
+    std::uint64_t executed() const { return _executed; }
+    bool pending(int id) const { return _live.count(id) != 0; }
+    void cancel(int id) { _live.erase(id); }
+
+    void
+    schedule(Tick when, int id, bool prio, bool)
+    {
+        _q.push(Ent{when, prio ? _prioSeq++ : _seq++, id});
+        _live.insert(id);
+    }
+
+    void
+    run()
+    {
+        while (!_q.empty()) {
+            Ent e = _q.top();
+            _q.pop();
+            if (!_live.erase(e.id))
+                continue; // cancelled
+            _now = e.when;
+            ++_executed;
+            _fire(e.id);
+        }
+    }
+
+  private:
+    struct Ent
+    {
+        Tick when;
+        std::uint64_t seq;
+        int id;
+        bool
+        operator>(const Ent &o) const
+        {
+            return when != o.when ? when > o.when : seq > o.seq;
+        }
+    };
+    std::priority_queue<Ent, std::vector<Ent>, std::greater<Ent>> _q;
+    std::set<int> _live;
+    std::uint64_t _prioSeq = 0, _seq = std::uint64_t(1) << 62;
+    Tick _now = 0;
+    std::uint64_t _executed = 0;
+    std::function<void(int)> _fire;
+};
+
+/**
+ * EventQueue behind the same interface: ids without a handle go
+ * through the closure API, ids with one through intrusive events that
+ * the script can deschedule.
+ */
+class KernelQueue
+{
+  public:
+    explicit KernelQueue(std::function<void(int)> fire) : _fire(fire) {}
+    Tick curTick() const { return _eq.curTick(); }
+    std::uint64_t executed() const { return _eq.executed(); }
+    bool pending(int id) const { return _events.at(id)->scheduled(); }
+    void cancel(int id) { _eq.deschedule(*_events.at(id)); }
+    void run() { _eq.run(); }
+
+    void
+    schedule(Tick when, int id, bool prio, bool handle)
+    {
+        if (!handle) {
+            auto fn = [this, id] { _fire(id); };
+            prio ? _eq.schedulePriority(when, fn) : _eq.schedule(when, fn);
+            return;
+        }
+        auto &ev = _events[id] = std::make_unique<FireEvent>(this, id);
+        prio ? _eq.schedulePriority(*ev, when) : _eq.schedule(*ev, when);
+    }
+
+  private:
+    struct FireEvent final : Event
+    {
+        FireEvent(KernelQueue *q, int id) : q(q), id(id) {}
+        void process() override { q->_fire(id); }
+        KernelQueue *q;
+        int id;
+    };
+    EventQueue _eq; // outlives the events below
+    std::map<int, std::unique_ptr<FireEvent>> _events;
+    std::function<void(int)> _fire;
+};
+
+struct ScriptResult
 {
     std::vector<int> log;
+    Tick end = 0;
+    std::uint64_t executed = 0;
+    unsigned cancelled = 0;
+};
+
+/**
+ * Replays one pseudo-random schedule script into a queue. Each fired
+ * event logs its id, may deschedule a pending event, and may schedule
+ * children at deterministic deltas spanning wheel range (including
+ * the current tick), the horizon boundary and far-heap range, so both
+ * containers stay populated and same-tick ties arise within and
+ * across them. A quarter of all events use the priority
+ * band; half carry a handle that makes them descheduleable.
+ */
+template <class Queue>
+ScriptResult
+runScript(std::uint64_t seed)
+{
+    ScriptResult res;
     Pcg32 rng(seed);
-    int nextId = 0;
-    // Recursive closure: each event may spawn up to 3 children.
-    std::function<void(int, int)> fire = [&](int id, int depth) {
-        log.push_back(id);
-        if (depth >= 4)
+    std::vector<int> depthOf;
+    std::vector<int> handles;
+    Queue *q = nullptr;
+    auto spawn = [&](Tick when, int depth) {
+        int id = static_cast<int>(depthOf.size());
+        depthOf.push_back(depth);
+        bool prio = rng.below(4) == 0;
+        bool handle = rng.below(2) == 0;
+        if (handle)
+            handles.push_back(id);
+        q->schedule(when, id, prio, handle);
+    };
+    Queue queue([&](int id) {
+        res.log.push_back(id);
+        if (rng.below(3) == 0 && !handles.empty()) {
+            int victim = handles[rng.below(
+                static_cast<std::uint32_t>(handles.size()))];
+            if (q->pending(victim)) {
+                q->cancel(victim);
+                ++res.cancelled;
+            }
+        }
+        if (depthOf[id] >= 4)
             return;
         unsigned kids = rng.below(4);
         for (unsigned k = 0; k < kids; ++k) {
             Tick delta;
+            // Most deltas are whole multiples of 1000 ticks, so events
+            // filed in the wheel and in the heap often share a tick.
             switch (rng.below(4)) {
-              case 0: delta = rng.below(8) * 2000; break;       // hot
+              case 0: delta = rng.below(3) * 2000; break;       // hot
               case 1: delta = rng.below(4096); break;           // sub-bucket
-              case 2: delta = 250 * 2048 + rng.below(20000); break; // boundary
-              default: delta = 600000 + rng.below(100000); break;   // far
+              case 2: delta = 512000 + rng.below(20) * 1000; break; // boundary
+              default: delta = 600000 + rng.below(100) * 1000; break; // far
             }
-            int kid = nextId++;
-            q.scheduleIn(delta, [&fire, kid, depth] {
-                fire(kid, depth + 1);
-            });
+            spawn(q->curTick() + delta, depthOf[id] + 1);
         }
-    };
-    for (int r = 0; r < 40; ++r) {
-        Tick at = rng.below(500000);
-        int id = nextId++;
-        q.schedule(at, [&fire, id] { fire(id, 0); });
-    }
-    q.run();
-    return log;
+    });
+    q = &queue;
+    for (int r = 0; r < 40; ++r)
+        spawn(rng.below(500) * 1000, 0);
+    queue.run();
+    res.end = queue.curTick();
+    res.executed = queue.executed();
+    return res;
 }
 
 TEST(EventKernel, RandomizedOrderMatchesLegacyKernel)
 {
     for (std::uint64_t seed : {1u, 2u, 3u, 42u, 1234u}) {
-        LegacyEventQueue legacy;
-        EventQueue wheel(true);
-        EventQueue heapOnly(false);
-        std::vector<int> a = runScript(legacy, seed);
-        std::vector<int> b = runScript(wheel, seed);
-        std::vector<int> c = runScript(heapOnly, seed);
-        ASSERT_FALSE(a.empty());
-        EXPECT_EQ(a, b) << "wheel kernel diverged, seed " << seed;
-        EXPECT_EQ(a, c) << "heap-only kernel diverged, seed " << seed;
-        EXPECT_EQ(legacy.curTick(), wheel.curTick());
-        EXPECT_EQ(legacy.executed(), wheel.executed());
+        ScriptResult ref = runScript<RefQueue>(seed);
+        ScriptResult got = runScript<KernelQueue>(seed);
+        ASSERT_FALSE(ref.log.empty());
+        EXPECT_EQ(ref.log, got.log) << "kernel diverged, seed " << seed;
+        EXPECT_EQ(ref.end, got.end);
+        EXPECT_EQ(ref.executed, got.executed);
+        EXPECT_EQ(ref.cancelled, got.cancelled);
+        EXPECT_GT(ref.cancelled, 0u) << "seed " << seed;
     }
 }
 

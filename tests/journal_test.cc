@@ -108,6 +108,16 @@ TEST(JobResultJson, OkJobRoundTripsEveryReportField)
     EXPECT_EQ(b.statTree.dump(), a.statTree.dump());
     EXPECT_EQ(b.attempts, a.attempts);
     EXPECT_DOUBLE_EQ(b.hostSeconds, a.hostSeconds);
+    // The inline-hit counters: both present, equal, and the only keys.
+    EXPECT_GT(a.run.fastInlineHits, 0u);
+    EXPECT_EQ(a.run.l1FastHits, a.run.fastInlineHits);
+    EXPECT_EQ(b.run.fastInlineHits, a.run.fastInlineHits);
+    EXPECT_EQ(b.run.l1FastHits, a.run.l1FastHits);
+    JsonValue doc = jobResultToJson(a);
+    const JsonValue *fp = doc.find("fastpath");
+    ASSERT_TRUE(fp && fp->isObject());
+    EXPECT_EQ(fp->keys(),
+              (std::vector<std::string>{"inline_hits", "l1_fast_hits"}));
     // And the serialization itself is a fixed point: what the report
     // emits for a journal-recovered job is byte-identical to what it
     // emits for the original.
@@ -245,8 +255,9 @@ TEST(JobJournal, GarbageAppendIsIgnored)
 TEST(JobJournal, UnsupportedVersionThrows)
 {
     // Version 1 is the format before events_equivalent and
-    // engine_fallback left job results; 99 is a future version.
-    for (unsigned version : {1u, 99u}) {
+    // engine_fallback left job results, version 2 the one before
+    // evented_hits and l1_respond_events did; 99 is a future version.
+    for (unsigned version : {1u, 2u, 99u}) {
         ASSERT_NE(version, JobJournal::kVersion);
         TempDir tmp;
         {
