@@ -1,7 +1,7 @@
 /**
  * @file
- * Behaviour fingerprint: every job of the `quick` sweep, plus
- * reduced-work OOO, 4-chip and 16-chip OLTP points, must reproduce
+ * Behaviour fingerprint: every job of the `quick` and `fig5` sweeps,
+ * plus reduced-work OOO, 4-chip and 16-chip OLTP points, must reproduce
  * the stat-tree hash and kernel event count pinned in
  * tests/fingerprint.txt; quick P8/OLTP, quick P8/DSS and the 16-chip
  * point must also reproduce their coherence-trace hash.
@@ -164,6 +164,13 @@ traceHash(const std::vector<TraceEvent> &events)
 TEST(Fingerprint, QuickSweep)
 {
     expectPinned("quick", sweepQuick().expand());
+}
+
+/** sweep_main's fig5 grid: P1, INO, OOO and P8 under full-work OLTP
+ *  and DSS, the runs behind the paper's Figure 5. */
+TEST(Fingerprint, Fig5Sweep)
+{
+    expectPinned("fig5", sweepFig5().expand());
 }
 
 TEST(Fingerprint, SixteenChipOltp)
