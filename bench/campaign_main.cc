@@ -24,7 +24,7 @@
 #include <sstream>
 #include <string>
 
-#include "bench_util.h"
+#include "core/piranha.h"
 
 using namespace piranha;
 

@@ -1,8 +1,10 @@
 /**
  * @file
- * Generic sweep driver: runs a named experiment sweep from the
- * registry below on a host-thread pool and writes a machine-readable
- * JSON report next to the live progress lines.
+ * The experiment driver: runs a named sweep from the registry in
+ * sweeps.h on a host-thread pool, prints each job's status and the
+ * sweep's paper-comparison table, and writes a machine-readable JSON
+ * report next to the live progress lines. Every paper figure and
+ * claim is one named sweep (`sweep_main --list`).
  *
  * Usage:
  *   sweep_main --list
@@ -35,7 +37,6 @@
 #include <iostream>
 #include <string>
 
-#include "bench_util.h"
 #include "check/litmus.h"
 #include "sweeps.h"
 
@@ -308,6 +309,7 @@ int
 main(int argc, char **argv)
 {
     std::string sweep_name, json_path, record_dir, replay_path;
+    const SweepEntry *entry = nullptr;
     SweepOptions opts;
     opts.progress = &std::cerr;
     bool verify = false;
@@ -412,7 +414,6 @@ main(int argc, char **argv)
         }
         spec = sweepLitmus(litmus_seeds);
     } else {
-        const SweepEntry *entry = nullptr;
         for (const SweepEntry &e : kSweeps)
             if (sweep_name == e.name)
                 entry = &e;
@@ -440,18 +441,32 @@ main(int argc, char **argv)
 
     SweepReport report = SweepRunner(opts).run(spec);
 
+    // Read from the flat stats, which survive the process tier's pipe
+    // and the journal; custom jobs have neither stat.
+    auto cell = [](const JobResult &j, const char *key, double scale,
+                   int prec) {
+        auto it = j.stats.find(key);
+        return j.status == JobStatus::Ok && it != j.stats.end()
+                   ? TextTable::fmt(scale * it->second, prec)
+                   : std::string("-");
+    };
     TextTable t({"Job", "Status", "ExecTime(ms)", "Busy%", "Host(s)"});
-    for (const JobResult &j : report.jobs) {
-        bool ok = j.status == JobStatus::Ok;
+    for (const JobResult &j : report.jobs)
         t.addRow({j.label, jobStatusName(j.status),
-                  ok ? TextTable::fmt(ms(j.run.execTime), 3) : "-",
-                  ok ? TextTable::fmt(100 * j.run.busyFrac, 1) : "-",
+                  cell(j, "exec_time_ps", ms(1), 3),
+                  cell(j, "busy_frac", 100, 1),
                   TextTable::fmt(j.hostSeconds, 2)});
-    }
     t.print(std::cout);
     std::printf("\n%zu jobs on %u threads in %.2fs host time%s\n",
                 report.jobs.size(), report.threads, report.hostSeconds,
                 report.interrupted ? " (interrupted)" : "");
+    if (entry && entry->render) {
+        std::cout << "\n=== " << entry->desc << " ===\n\n";
+        if (report.count(JobStatus::Ok) == report.jobs.size())
+            entry->render(report, std::cout);
+        else
+            std::cout << "no table: not every job completed\n";
+    }
 
     if (!json_path.empty()) {
         if (!report.writeJsonFile(json_path))

@@ -22,11 +22,12 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iostream>
 #include <memory>
 
-#include "bench_util.h"
 #include "host_timer.h"
 #include "stats/json_writer.h"
+#include "sweeps.h"
 
 namespace piranha {
 namespace {

@@ -179,6 +179,20 @@ readSpecFrame(int fd)
     return payload;
 }
 
+/**
+ * Store through a null pointer. Exempt from UBSan's null check so a
+ * sanitized build takes the genuine SIGSEGV instead of a UBSan exit;
+ * kept out of line because, inlined into an instrumented caller, the
+ * store gets the caller's check back. The pointer itself is volatile
+ * so the optimizer cannot prove the store faults and drop the call.
+ */
+__attribute__((noinline, no_sanitize("null"))) void
+storeThroughNull()
+{
+    volatile int *volatile p = nullptr;
+    *p = 1;
+}
+
 [[noreturn]] void
 applyChaos(WorkerFault f, int result_fd)
 {
@@ -187,10 +201,7 @@ applyChaos(WorkerFault f, int result_fd)
         // Through a real fault, not raise(): the crash reporter must
         // catch a genuine SIGSEGV delivery, emit its PJX1 frame, and
         // re-raise so the supervisor still sees a signal death.
-        {
-            volatile int *p = nullptr;
-            *p = 1;
-        }
+        storeThroughNull();
         ::_exit(99); // unreachable
       case WorkerFault::Kill:
         ::raise(SIGKILL);

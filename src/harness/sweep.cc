@@ -100,14 +100,6 @@ flattenRunResult(const RunResult &r)
     return m;
 }
 
-std::map<std::string, double>
-flattenRunResultComparable(const RunResult &r)
-{
-    std::map<std::string, double> m = flattenRunResult(r);
-    m.erase("events_executed");
-    return m;
-}
-
 const JobResult *
 SweepReport::job(const std::string &label) const
 {

@@ -185,10 +185,10 @@ struct JobResult
  * Serialize / parse one job result as the per-job JSON object of the
  * sweep report schema. The round trip preserves every field the
  * aggregate report and the bit-identity comparisons consume (flat
- * stats, stat tree, status, error, fastpath/profile instrumentation,
- * payload), which is what makes a --resume'd report provably
- * identical to an uninterrupted run: journal-recovered jobs re-enter
- * the report through exactly this path.
+ * stats, stat tree, status, error, inline-hit and host-profile
+ * instrumentation, payload), which is what makes a --resume'd report
+ * provably identical to an uninterrupted run: journal-recovered jobs
+ * re-enter the report through exactly this path.
  */
 JsonValue jobResultToJson(const JobResult &j,
                           bool include_stat_tree = true);
@@ -196,16 +196,6 @@ JobResult jobResultFromJson(const JsonValue &v);
 
 /** Flatten a RunResult into the report's named-stat map. */
 std::map<std::string, double> flattenRunResult(const RunResult &r);
-
-/**
- * flattenRunResult minus the keys that legitimately differ between
- * the fast and slow datapaths (events_executed: the inline fast path
- * completes L1 hits with zero kernel events). Use this map when
- * asserting fast-vs-slow bit-identity; every key in it must match
- * exactly.
- */
-std::map<std::string, double>
-flattenRunResultComparable(const RunResult &r);
 
 /** Executed sweep: job results in spec order plus execution metadata. */
 struct SweepReport
