@@ -1,10 +1,15 @@
 #!/usr/bin/env bash
 # Tier-1 verification, as CI runs it: configure with warnings promoted
-# to errors on the library targets, build everything, run the full
-# test suite.
+# to errors on the library and test targets, build everything, run the
+# full test suite.
 #
 # Usage:
 #   scripts/ci.sh [build-dir]         tier-1 build + tests
+#   scripts/ci.sh lean [build-dir]    same with the coherence-trace and
+#                                     fault-injection hooks compiled
+#                                     out (-DPIRANHA_TRACE=OFF
+#                                     -DPIRANHA_FAULTS=OFF); the tests
+#                                     that need them skip themselves
 #   scripts/ci.sh asan [build-dir]    same under ASan+UBSan, plus the
 #                                     litmus sweep (memory errors in
 #                                     the protocol/tracer paths)
@@ -57,13 +62,14 @@ set -euo pipefail
 
 MODE=tier1
 case "${1:-}" in
-  asan|perf|faults|trace|tsan|crashsafe)
+  lean|asan|perf|faults|trace|tsan|crashsafe)
     MODE=$1
     shift
     ;;
 esac
 
 DEFAULT_DIR=build-ci
+[[ "$MODE" == "lean" ]] && DEFAULT_DIR=build-lean
 [[ "$MODE" == "asan" ]] && DEFAULT_DIR=build-asan
 [[ "$MODE" == "perf" ]] && DEFAULT_DIR=build-perf
 [[ "$MODE" == "faults" ]] && DEFAULT_DIR=build-faults
@@ -75,6 +81,7 @@ JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 2)"
 
 BUILD_TYPE=RelWithDebInfo
 EXTRA=()
+[[ "$MODE" == "lean" ]] && EXTRA+=(-DPIRANHA_TRACE=OFF -DPIRANHA_FAULTS=OFF)
 [[ "$MODE" == "asan" ]] && EXTRA+=(-DPIRANHA_SANITIZE=ON)
 [[ "$MODE" == "tsan" ]] && EXTRA+=(-DPIRANHA_TSAN=ON)
 if [[ "$MODE" == "perf" ]]; then

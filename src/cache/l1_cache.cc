@@ -103,7 +103,7 @@ L1Cache::access(const MemReq &req, MemRspClient *client)
 }
 
 void
-L1Cache::traceStoreIssue(const MemReq &req)
+L1Cache::traceStoreIssue([[maybe_unused]] const MemReq &req)
 {
     PIR_TRACE(_p.tracer, TraceEvent{.tick = curTick(),
                                     .kind = TraceKind::StoreIssue,

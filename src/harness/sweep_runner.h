@@ -125,7 +125,7 @@ struct SweepOptions
      * result is fsynced when it finishes, so a killed sweep can be
      * resumed (DESIGN.md §14).
      */
-    std::string journalDir;
+    std::string journalDir{};
 
     /**
      * Resume from journalDir: jobs with a valid completion record are
@@ -147,7 +147,7 @@ struct SweepOptions
     double killGraceSec = 1.0;
 
     /** Supervisor fault injection (tests / CI crashsafe stage). */
-    ProcessChaos chaos;
+    ProcessChaos chaos{};
 };
 
 /** Executes sweep jobs on a host-thread pool. */

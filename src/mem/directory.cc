@@ -33,7 +33,7 @@ DirEntry::unpack(std::uint64_t bits, unsigned num_nodes)
         for (unsigned i = 0; i < count; ++i) {
             NodeId n = static_cast<NodeId>((body >> (i * ptrBits)) &
                                            ((1u << ptrBits) - 1));
-            e._ptrs.push_back(n);
+            e._ptrs[e._count++] = n;
         }
         break;
       }
@@ -53,12 +53,12 @@ DirEntry::pack() const
         break;
       case DirState::SharedPtr:
       case DirState::Exclusive: {
-        if (_ptrs.empty() || _ptrs.size() > maxPointers)
-            panic("directory pointer count %zu out of range",
-                  _ptrs.size());
-        for (size_t i = 0; i < _ptrs.size(); ++i)
+        if (_count == 0)
+            panic("directory pointer count 0 in state %d",
+                  static_cast<int>(_state));
+        for (unsigned i = 0; i < _count; ++i)
             body |= static_cast<std::uint64_t>(_ptrs[i]) << (i * ptrBits);
-        body |= static_cast<std::uint64_t>(_ptrs.size() - 1) << 40;
+        body |= static_cast<std::uint64_t>(_count - 1) << 40;
         break;
       }
       case DirState::SharedCv:
@@ -69,6 +69,13 @@ DirEntry::pack() const
 }
 
 bool
+DirEntry::hasPointer(NodeId node) const
+{
+    return std::find(_ptrs.begin(), _ptrs.begin() + _count, node) !=
+           _ptrs.begin() + _count;
+}
+
+bool
 DirEntry::mayBeSharer(NodeId node) const
 {
     switch (_state) {
@@ -76,7 +83,7 @@ DirEntry::mayBeSharer(NodeId node) const
         return false;
       case DirState::SharedPtr:
       case DirState::Exclusive:
-        return std::find(_ptrs.begin(), _ptrs.end(), node) != _ptrs.end();
+        return hasPointer(node);
       case DirState::SharedCv:
         return (_cv >> (node / groupSize(_numNodes))) & 1;
     }
@@ -92,16 +99,16 @@ DirEntry::owner() const
     return _ptrs[0];
 }
 
-std::vector<NodeId>
-DirEntry::sharerList() const
+void
+DirEntry::sharers(std::vector<NodeId> &out) const
 {
-    std::vector<NodeId> out;
+    out.clear();
     switch (_state) {
       case DirState::Uncached:
         break;
       case DirState::SharedPtr:
       case DirState::Exclusive:
-        out = _ptrs;
+        out.assign(_ptrs.begin(), _ptrs.begin() + _count);
         break;
       case DirState::SharedCv: {
         unsigned gs = groupSize(_numNodes);
@@ -116,13 +123,27 @@ DirEntry::sharerList() const
         break;
       }
     }
-    return out;
 }
 
 unsigned
 DirEntry::sharerCount() const
 {
-    return static_cast<unsigned>(sharerList().size());
+    switch (_state) {
+      case DirState::Uncached:
+        return 0;
+      case DirState::SharedPtr:
+      case DirState::Exclusive:
+        return _count;
+      case DirState::SharedCv: {
+        unsigned gs = groupSize(_numNodes);
+        unsigned n = 0;
+        for (unsigned g = 0; g < sharerBits; ++g)
+            if ((_cv >> g) & 1)
+                n += std::min(gs, _numNodes - std::min(_numNodes, g * gs));
+        return n;
+      }
+    }
+    return 0;
 }
 
 void
@@ -130,9 +151,9 @@ DirEntry::switchToCoarse()
 {
     std::uint64_t cv = 0;
     unsigned gs = groupSize(_numNodes);
-    for (NodeId n : _ptrs)
-        cv |= 1ULL << (n / gs);
-    _ptrs.clear();
+    for (unsigned i = 0; i < _count; ++i)
+        cv |= 1ULL << (_ptrs[i] / gs);
+    _count = 0;
     _cv = cv;
     _state = DirState::SharedCv;
 }
@@ -143,23 +164,24 @@ DirEntry::addSharer(NodeId node)
     switch (_state) {
       case DirState::Uncached:
         _state = DirState::SharedPtr;
-        _ptrs.assign(1, node);
+        _ptrs[0] = node;
+        _count = 1;
         break;
       case DirState::Exclusive:
         // Owner demotes to a sharer alongside the new one.
         _state = DirState::SharedPtr;
         if (_ptrs[0] != node)
-            _ptrs.push_back(node);
+            _ptrs[_count++] = node;
         break;
       case DirState::SharedPtr:
-        if (std::find(_ptrs.begin(), _ptrs.end(), node) != _ptrs.end())
+        if (hasPointer(node))
             return;
-        if (_ptrs.size() == maxPointers) {
+        if (_count == maxPointers) {
             // Past 4 remote sharing nodes: switch representation.
             switchToCoarse();
             _cv |= 1ULL << (node / groupSize(_numNodes));
         } else {
-            _ptrs.push_back(node);
+            _ptrs[_count++] = node;
         }
         break;
       case DirState::SharedCv:
@@ -179,10 +201,13 @@ DirEntry::removeSharer(NodeId node)
             clear();
         break;
       case DirState::SharedPtr: {
-        auto it = std::find(_ptrs.begin(), _ptrs.end(), node);
-        if (it != _ptrs.end())
-            _ptrs.erase(it);
-        if (_ptrs.empty())
+        auto end = _ptrs.begin() + _count;
+        auto it = std::find(_ptrs.begin(), end, node);
+        if (it != end) {
+            std::copy(it + 1, end, it);
+            --_count;
+        }
+        if (_count == 0)
             clear();
         break;
       }
@@ -198,7 +223,8 @@ void
 DirEntry::setExclusive(NodeId node)
 {
     _state = DirState::Exclusive;
-    _ptrs.assign(1, node);
+    _ptrs[0] = node;
+    _count = 1;
     _cv = 0;
 }
 
@@ -206,7 +232,7 @@ void
 DirEntry::clear()
 {
     _state = DirState::Uncached;
-    _ptrs.clear();
+    _count = 0;
     _cv = 0;
 }
 
@@ -219,10 +245,12 @@ DirEntry::operator==(const DirEntry &o) const
       case DirState::Uncached:
         return true;
       case DirState::SharedPtr: {
+        if (_count != o._count)
+            return false;
         auto a = _ptrs, b = o._ptrs;
-        std::sort(a.begin(), a.end());
-        std::sort(b.begin(), b.end());
-        return a == b;
+        std::sort(a.begin(), a.begin() + _count);
+        std::sort(b.begin(), b.begin() + _count);
+        return std::equal(a.begin(), a.begin() + _count, b.begin());
       }
       case DirState::Exclusive:
         return _ptrs[0] == o._ptrs[0];

@@ -19,6 +19,7 @@
 #ifndef PIRANHA_MEM_DIRECTORY_H
 #define PIRANHA_MEM_DIRECTORY_H
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -72,11 +73,12 @@ class DirEntry
     bool empty() const { return _state == DirState::Uncached; }
 
     /**
-     * All nodes that must be invalidated (the precise pointer list, or
-     * every node in the set groups for coarse vector — coarse vector
-     * over-invalidates by construction).
+     * Replace @p out with all nodes that must be invalidated (the
+     * precise pointer list, or every node in the set groups for coarse
+     * vector — coarse vector over-invalidates by construction).
+     * Reusing one vector keeps the call allocation-free once warm.
      */
-    std::vector<NodeId> sharerList() const;
+    void sharers(std::vector<NodeId> &out) const;
 
     /** Number of remote sharers (upper bound for coarse vector). */
     unsigned sharerCount() const;
@@ -111,11 +113,13 @@ class DirEntry
   private:
     DirState _state;
     unsigned _numNodes;
-    // SharedPtr/Exclusive: pointer list (owner in [0]); SharedCv: the
-    // 42-bit vector.
-    std::vector<NodeId> _ptrs;
+    // SharedPtr/Exclusive: the first _count slots of _ptrs (owner in
+    // [0]); the rest are dead. SharedCv: the 42-bit vector.
+    unsigned _count = 0;
+    std::array<NodeId, maxPointers> _ptrs{};
     std::uint64_t _cv = 0;
 
+    bool hasPointer(NodeId node) const;
     void switchToCoarse();
 };
 

@@ -9,8 +9,27 @@
 
 namespace piranha {
 
+namespace {
+
+/** Channel occupancy, in interconnect cycles, of a short or long
+ *  packet. */
+unsigned
+occupancyIc(bool long_packet)
+{
+    NetPacket p;
+    p.hasData = long_packet;
+    return p.icCycles();
+}
+
+} // namespace
+
 Network::Network(EventQueue &eq, std::string name, const NetworkParams &p)
-    : SimObject(eq, std::move(name)), _p(p)
+    : SimObject(eq, std::move(name)), _p(p),
+      _oqTicks(nsToTicks(p.oqNs)), _iqTicks(nsToTicks(p.iqNs)),
+      _linkTicks(nsToTicks(p.linkNs)),
+      _misrouteTicks(icCycles(p.misrouteThresholdIc)),
+      _shortTicks(icCycles(occupancyIc(false))),
+      _longTicks(icCycles(occupancyIc(true)))
 {
 }
 
@@ -34,10 +53,34 @@ Network::icCycles(unsigned n) const
     return static_cast<Tick>(n * 1e6 / _p.icClockMhz);
 }
 
+Network::Node &
+Network::nodeAt(NodeId id)
+{
+    if (id >= _nodes.size() || !_nodes[id].present)
+        panic("network: no node %u", id);
+    return _nodes[id];
+}
+
+std::vector<NodeId>
+Network::nodeIds() const
+{
+    std::vector<NodeId> ids;
+    for (std::size_t id = 0; id < _nodes.size(); ++id)
+        if (_nodes[id].present)
+            ids.push_back(static_cast<NodeId>(id));
+    return ids;
+}
+
 void
 Network::addNode(NodeId node, NetDeliverFn deliver, unsigned channels)
 {
+    if (channels >= noRoute)
+        fatal("node %u: %u interconnect channels exceed the route "
+              "table's %u", node, channels, noRoute - 1u);
+    if (node >= _nodes.size())
+        _nodes.resize(std::size_t(node) + 1);
     Node &n = _nodes[node];
+    n.present = true;
     n.deliver = std::move(deliver);
     n.maxChannels = channels;
     n.rng = Pcg32{0x9142a4a, 42 + std::uint64_t(node)};
@@ -46,8 +89,8 @@ Network::addNode(NodeId node, NetDeliverFn deliver, unsigned channels)
 void
 Network::connect(NodeId a, NodeId b)
 {
-    Node &na = _nodes.at(a);
-    Node &nb = _nodes.at(b);
+    Node &na = nodeAt(a);
+    Node &nb = nodeAt(b);
     if (na.channels.size() >= na.maxChannels ||
         nb.channels.size() >= nb.maxChannels)
         fatal("node %u or %u out of interconnect channels", a, b);
@@ -58,25 +101,32 @@ Network::connect(NodeId a, NodeId b)
 void
 Network::finalizeRoutes()
 {
-    // BFS from every node over the channel graph.
-    for (auto &[id, node] : _nodes) {
-        node.nextHop.clear();
-        std::deque<NodeId> frontier{id};
-        std::unordered_map<NodeId, NodeId> first; // dest -> first hop
-        std::unordered_map<NodeId, bool> seen;
+    // BFS from every node over the channel graph; a destination's
+    // route is the channel to the first hop on its shortest path (the
+    // last channel to that neighbour, should two connect the pair).
+    std::vector<NodeId> ids = nodeIds();
+    std::vector<NodeId> first(_nodes.size());
+    std::vector<bool> seen(_nodes.size());
+    for (NodeId id : ids) {
+        Node &n = _nodes[id];
+        std::fill(seen.begin(), seen.end(), false);
         seen[id] = true;
+        std::deque<NodeId> frontier{id};
+        n.route.assign(_nodes.size(), noRoute);
         while (!frontier.empty()) {
             NodeId cur = frontier.front();
             frontier.pop_front();
-            for (const Channel &c : _nodes.at(cur).channels) {
+            for (const Channel &c : _nodes[cur].channels) {
                 if (seen[c.to])
                     continue;
                 seen[c.to] = true;
                 first[c.to] = cur == id ? c.to : first[cur];
                 frontier.push_back(c.to);
+                for (std::size_t ci = 0; ci < n.channels.size(); ++ci)
+                    if (n.channels[ci].to == first[c.to])
+                        n.route[c.to] = static_cast<std::uint8_t>(ci);
             }
         }
-        node.nextHop = std::move(first);
     }
 }
 
@@ -91,25 +141,44 @@ Network::inject(NetPacket pkt)
     if (_faults && !_faults->netInjectHook(*this, pkt))
         return;
 #endif
-    NodeId src = pkt.src;
+    nodeAt(pkt.src); // panics on an unknown sender
     ++statPackets;
     if (pkt.isLong())
         ++statLongPackets;
-    Tick injected = curTick();
     // Output-queue fall-through (single cycle when the router is
     // ready; transit traffic has priority, modeled in channel
     // backlog).
-    eventQueue().schedule(
-        injected + nsToTicks(_p.oqNs),
-        [this, pkt = std::move(pkt), src, injected]() mutable {
-            hop(std::move(pkt), src, injected);
-        });
+    HopEvent *ev = _hopEvents.acquire(this);
+    ev->at = pkt.src;
+    ev->injected = curTick();
+    ev->pkt = std::move(pkt);
+    eventQueue().schedule(*ev, ev->injected + _oqTicks);
 }
 
 void
-Network::hop(NetPacket pkt, NodeId at, Tick injected)
+Network::HopEvent::process()
 {
-    Node &node = _nodes.at(at);
+    net->hop(pkt, at, injected);
+    net->_hopEvents.release(this);
+}
+
+void
+Network::DeliverEvent::process()
+{
+    net->_nodes[at].deliver(pkt);
+    net->_deliverEvents.release(this);
+}
+
+void
+Network::FlushEvent::process()
+{
+    net->flush(*this);
+}
+
+void
+Network::hop(NetPacket &pkt, NodeId at, Tick injected)
+{
+    Node &node = _nodes[at];
     Tick now = curTick();
     if (pkt.dst == at) {
 #if PIRANHA_FAULT_INJECT
@@ -123,28 +192,22 @@ Network::hop(NetPacket pkt, NodeId at, Tick injected)
         // disposition vector and hand to the target module.
         statLatency.sample(static_cast<double>(now - injected) /
                            static_cast<double>(ticksPerNs));
-        eventQueue().schedule(now + nsToTicks(_p.iqNs),
-                              [fn = node.deliver, pkt = std::move(pkt)] {
-                                  fn(pkt);
-                              });
+        DeliverEvent *ev = _deliverEvents.acquire(this);
+        ev->at = at;
+        ev->pkt = std::move(pkt);
+        eventQueue().schedule(*ev, now + _iqTicks);
         return;
     }
-    auto rit = node.nextHop.find(pkt.dst);
-    if (rit == node.nextHop.end())
+    std::uint8_t ci =
+        pkt.dst < node.route.size() ? node.route[pkt.dst] : noRoute;
+    if (ci == noRoute)
         panic("network: no route %u -> %u", at, pkt.dst);
-    NodeId preferred = rit->second;
-
-    Channel *chan = nullptr;
-    for (Channel &c : node.channels)
-        if (c.to == preferred)
-            chan = &c;
-    if (!chan)
-        panic("network: next hop %u not a neighbor of %u", preferred,
-              at);
+    Channel *chan = &node.channels[ci];
+    NodeId preferred = chan->to;
 
     Tick backlog = chan->busyUntil > now ? chan->busyUntil - now : 0;
-    if (backlog > icCycles(_p.misrouteThresholdIc) &&
-        pkt.age < _p.maxAge && node.channels.size() > 1) {
+    if (backlog > _misrouteTicks && pkt.age < _p.maxAge &&
+        node.channels.size() > 1) {
         // Hot potato: deflect to a random alternate channel with a
         // shorter backlog; the age field escalates priority so the
         // packet eventually takes the optimal path.
@@ -158,9 +221,9 @@ Network::hop(NetPacket pkt, NodeId at, Tick injected)
     }
 
     Tick start = std::max(now, chan->busyUntil);
-    Tick occupancy = icCycles(pkt.icCycles());
+    Tick occupancy = pkt.isLong() ? _longTicks : _shortTicks;
     chan->busyUntil = start + occupancy;
-    Tick arrive = start + occupancy + nsToTicks(_p.linkNs);
+    Tick arrive = start + occupancy + _linkTicks;
     ++statHops;
 
     // Stage the traversal at the next node under its arrival tick; the
@@ -173,21 +236,30 @@ Network::hop(NetPacket pkt, NodeId at, Tick injected)
               at, chan->to, static_cast<unsigned long long>(arrive),
               static_cast<unsigned long long>(now));
     NodeId to = chan->to;
-    std::vector<Arrival> &bucket = _nodes.at(to).staged[arrive];
-    if (bucket.empty())
-        eventQueue().schedulePriority(
-            arrive, [this, to, arrive] { flush(to, arrive); });
-    bucket.push_back(
+    std::vector<FlushEvent *> &staged = _nodes[to].staged;
+    FlushEvent *bucket = nullptr;
+    for (FlushEvent *f : staged)
+        if (f->when() == arrive)
+            bucket = f;
+    if (!bucket) {
+        bucket = _flushEvents.acquire(this);
+        bucket->at = to;
+        staged.push_back(bucket);
+        eventQueue().schedulePriority(*bucket, arrive);
+    }
+    bucket->arrivals.push_back(
         Arrival{now, at, node.sendSeq++, injected, std::move(pkt)});
 }
 
 void
-Network::flush(NodeId at, Tick when)
+Network::flush(FlushEvent &ev)
 {
-    auto &staged = _nodes.at(at).staged;
-    auto it = staged.find(when);
-    std::vector<Arrival> arrivals = std::move(it->second);
-    staged.erase(it);
+    // Unlist the bucket first: its hops stage only at later ticks, so
+    // nothing joins it, and it stays out of the pool until they are
+    // done with its arrivals.
+    std::vector<FlushEvent *> &staged = _nodes[ev.at].staged;
+    staged.erase(std::find(staged.begin(), staged.end(), &ev));
+    std::vector<Arrival> &arrivals = ev.arrivals;
     std::sort(arrivals.begin(), arrivals.end(),
               [](const Arrival &a, const Arrival &b) {
                   if (a.sendTick != b.sendTick)
@@ -197,16 +269,15 @@ Network::flush(NodeId at, Tick when)
                   return a.seq < b.seq;
               });
     for (Arrival &a : arrivals)
-        hop(std::move(a.pkt), at, a.injected);
+        hop(a.pkt, ev.at, a.injected);
+    arrivals.clear();
+    _flushEvents.release(&ev);
 }
 
 void
 Network::buildFullyConnected(Network &net)
 {
-    std::vector<NodeId> ids;
-    for (const auto &[id, _] : net._nodes)
-        ids.push_back(id);
-    std::sort(ids.begin(), ids.end());
+    std::vector<NodeId> ids = net.nodeIds();
     for (std::size_t i = 0; i < ids.size(); ++i)
         for (std::size_t j = i + 1; j < ids.size(); ++j)
             net.connect(ids[i], ids[j]);
@@ -216,10 +287,7 @@ Network::buildFullyConnected(Network &net)
 void
 Network::buildRing(Network &net)
 {
-    std::vector<NodeId> ids;
-    for (const auto &[id, _] : net._nodes)
-        ids.push_back(id);
-    std::sort(ids.begin(), ids.end());
+    std::vector<NodeId> ids = net.nodeIds();
     if (ids.size() < 2)
         return;
     if (ids.size() == 2) {

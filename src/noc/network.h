@@ -26,14 +26,18 @@
  * priority event in (send tick, sender, sender sequence) order. So
  * cross-chip arrivals at tick T run before any local event of tick T,
  * in an order that depends only on simulated history (DESIGN.md §13).
+ *
+ * The message path allocates nothing once warm: the output-queue,
+ * flush and delivery steps are pooled events owned by the Network
+ * that carry the packet, each bucket's flush event keeps its arrival
+ * vector for reuse, and routes are flat per-node tables of channel
+ * indices.
  */
 
 #ifndef PIRANHA_NOC_NETWORK_H
 #define PIRANHA_NOC_NETWORK_H
 
 #include <functional>
-#include <map>
-#include <unordered_map>
 #include <vector>
 
 #include "noc/packet.h"
@@ -114,28 +118,75 @@ class Network : public SimObject
         NetPacket pkt;
     };
 
+    /** A packet leaving node `at`'s output queue for its first hop. */
+    struct HopEvent final : public Event
+    {
+        explicit HopEvent(Network *n) : net(n) {}
+        void process() override;
+        const char *eventName() const override { return "net.hop"; }
+        Network *net;
+        NodeId at = 0;
+        Tick injected = 0;
+        NetPacket pkt;
+    };
+
+    /** A packet leaving node `at`'s input queue for its handler. */
+    struct DeliverEvent final : public Event
+    {
+        explicit DeliverEvent(Network *n) : net(n) {}
+        void process() override;
+        const char *eventName() const override { return "net.deliver"; }
+        Network *net;
+        NodeId at = 0;
+        NetPacket pkt;
+    };
+
+    /** The one priority flush of a (node, tick) bucket; it keeps its
+     *  arrival vector across uses. */
+    struct FlushEvent final : public Event
+    {
+        explicit FlushEvent(Network *n) : net(n) {}
+        void process() override;
+        const char *eventName() const override { return "net.flush"; }
+        Network *net;
+        NodeId at = 0;
+        std::vector<Arrival> arrivals;
+    };
+
+    /** Route-table entry for a destination no channel reaches. */
+    static constexpr std::uint8_t noRoute = 0xff;
+
     struct Node
     {
+        bool present = false;
         NetDeliverFn deliver;
         unsigned maxChannels = 4;
         std::vector<Channel> channels;
-        // next hop per destination
-        std::unordered_map<NodeId, NodeId> nextHop;
+        // per destination node id: index into channels of the next hop
+        std::vector<std::uint8_t> route;
         // node-local misroute stream, so a node's routing choices do
         // not depend on how other nodes' hops interleave with its own
         Pcg32 rng{0x9142a4a, 42};
         std::uint64_t sendSeq = 0; //!< hops sent by this node
-        // arrival tick -> hops staged for it; one flush event each
-        std::map<Tick, std::vector<Arrival>> staged;
+        // flushes scheduled for arrivals at this node, one per tick
+        std::vector<FlushEvent *> staged;
     };
 
-    void hop(NetPacket pkt, NodeId at, Tick injected);
-    void flush(NodeId at, Tick when);
+    Node &nodeAt(NodeId id);
+    std::vector<NodeId> nodeIds() const;
+    void hop(NetPacket &pkt, NodeId at, Tick injected);
+    void flush(FlushEvent &ev);
     Tick icCycles(unsigned n) const;
 
     NetworkParams _p;
+    // per-hop delays, converted to ticks once
+    Tick _oqTicks, _iqTicks, _linkTicks, _misrouteTicks;
+    Tick _shortTicks, _longTicks; //!< channel occupancy by packet size
     FaultInjector *_faults = nullptr;
-    std::unordered_map<NodeId, Node> _nodes;
+    std::vector<Node> _nodes; //!< indexed by node id
+    EventPool<HopEvent> _hopEvents;
+    EventPool<DeliverEvent> _deliverEvents;
+    EventPool<FlushEvent> _flushEvents;
     StatGroup _stats{"network"};
 };
 

@@ -13,7 +13,8 @@ ProtocolEngine::ProtocolEngine(EventQueue &eq, std::string name,
                                const EngineConfig &cfg, const Clock &clk,
                                IntraChipSwitch &ics, int my_port)
     : SimObject(eq, std::move(name)), _cfg(cfg), _clk(clk), _ics(ics),
-      _myPort(my_port), _tsrf(cfg.tsrfEntries), _stats(this->name())
+      _myPort(my_port), _tsrf(cfg.tsrfEntries),
+      _cmiTargets(cfg.tsrfEntries), _stats(this->name())
 {
 }
 
@@ -501,27 +502,26 @@ ProtocolEngine::memWrite(Addr addr, const LineData *data,
 }
 
 void
-ProtocolEngine::planCmi(TsrfEntry &t, const std::vector<NodeId> &targets)
+ProtocolEngine::planCmi(TsrfEntry &t, bool except_requester)
 {
-    t.chains.clear();
+    std::vector<NodeId> &targets =
+        _cmiTargets[static_cast<std::size_t>(&t - _tsrf.data())];
+    t.dir.sharers(targets);
+    if (except_requester)
+        std::erase(targets, t.requester);
     t.chainIdx = 0;
+    t.chains = std::min<unsigned>(_cfg.cmiFanout,
+                                  static_cast<unsigned>(targets.size()));
     if (targets.empty())
         return;
-    unsigned nchains =
-        std::min<unsigned>(_cfg.cmiFanout,
-                           static_cast<unsigned>(targets.size()));
-    t.chains.resize(nchains);
     // Deterministic round-robin assignment over sorted targets gives
     // each cruise missile a predetermined set of nodes to visit.
-    std::vector<NodeId> sorted = targets;
-    std::sort(sorted.begin(), sorted.end());
-    for (std::size_t i = 0; i < sorted.size(); ++i)
-        t.chains[i % nchains].push_back(sorted[i]);
+    std::sort(targets.begin(), targets.end());
     PIR_TRACE(_cfg.tracer,
               TraceEvent{.tick = curTick(),
                          .kind = TraceKind::CmiPlan,
                          .node = int(_cfg.node),
-                         .aux = int(nchains),
+                         .aux = int(t.chains),
                          .addr = t.addr,
                          .value = std::uint64_t(targets.size())});
 }
@@ -529,16 +529,20 @@ ProtocolEngine::planCmi(TsrfEntry &t, const std::vector<NodeId> &targets)
 bool
 ProtocolEngine::sendNextChain(TsrfEntry &t)
 {
-    if (t.chainIdx >= t.chains.size())
+    if (t.chainIdx >= t.chains)
         return false;
-    std::vector<NodeId> route = t.chains[t.chainIdx++];
+    const std::vector<NodeId> &targets =
+        _cmiTargets[static_cast<std::size_t>(&t - _tsrf.data())];
+    std::size_t c = t.chainIdx++;
     NetPacket inv;
     inv.type = NetMsgType::Inval;
     inv.addr = t.addr;
     inv.requester = t.requester;
     inv.reqId = t.reqId;
-    inv.dst = route.front();
-    inv.cmiRoute.assign(route.begin() + 1, route.end());
+    inv.dst = targets[c];
+    inv.cmiRoute.reserve((targets.size() - 1 - c) / t.chains);
+    for (std::size_t i = c + t.chains; i < targets.size(); i += t.chains)
+        inv.cmiRoute.push_back(targets[i]);
     sendNet(std::move(inv));
     return true;
 }

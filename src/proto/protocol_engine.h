@@ -96,8 +96,11 @@ class ProtocolEngine : public SimObject, public IcsClient
     /** Posted memory/directory write at the home. */
     void memWrite(Addr addr, const LineData *data,
                   const std::uint64_t *dir);
-    /** Split @p targets into at most cmiFanout CMI chains. */
-    void planCmi(TsrfEntry &t, const std::vector<NodeId> &targets);
+    /**
+     * Split the sharers of t.dir (less t.requester when
+     * @p except_requester) into at most cmiFanout CMI chains.
+     */
+    void planCmi(TsrfEntry &t, bool except_requester);
     /** Emit the next planned CMI chain; true if one was sent. */
     bool sendNextChain(TsrfEntry &t);
 
@@ -185,6 +188,10 @@ class ProtocolEngine : public SimObject, public IcsClient
     std::map<PeOp, std::uint16_t> _localEntries;
 
     std::vector<TsrfEntry> _tsrf;
+    // Per TSRF slot: the sorted CMI targets of its planned chains;
+    // chain c visits targets c, c + chains, c + 2 * chains, ... Kept
+    // here, not in the entry, so spawns reuse the storage.
+    std::vector<std::vector<NodeId>> _cmiTargets;
     LineTable<std::size_t> _active; //!< line -> thread
     LineTable<RingBuffer<QMsg>> _lineQueue;
     RingBuffer<QMsg> _globalQueue;

@@ -250,9 +250,10 @@ installRemoteProgram(ProtocolEngine &pe)
         NetPacket p;
         p.type = NetMsgType::Inval;
         p.addr = t.addr;
-        p.dst = t.origMsg.cmiRoute.front();
-        p.cmiRoute.assign(t.origMsg.cmiRoute.begin() + 1,
-                          t.origMsg.cmiRoute.end());
+        // The thread ends here: hand the rest of the route on.
+        p.cmiRoute = std::move(t.origMsg.cmiRoute);
+        p.dst = p.cmiRoute.front();
+        p.cmiRoute.erase(p.cmiRoute.begin());
         p.requester = t.origMsg.requester;
         p.reqId = t.reqId;
         pe.sendNet(std::move(p));

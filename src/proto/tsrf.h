@@ -53,8 +53,8 @@ struct TsrfEntry
     NodeId requester = 0;
     NodeId ownerReg = 0; //!< stashed previous owner
     int acksLeft = 0;
-    std::vector<std::vector<NodeId>> chains; //!< CMI routes to emit
-    std::size_t chainIdx = 0;
+    unsigned chains = 0;   //!< CMI chains planned (ProtocolEngine::planCmi)
+    unsigned chainIdx = 0; //!< next chain to send
     std::uint64_t reqId = 0;
     bool flagA = false;
     bool flagB = false;

@@ -13,7 +13,10 @@
  *
  * The closure API (EventQueue::schedule(Tick, EventFn)) remains
  * available for cold paths; it is backed by a pooled LambdaEvent in
- * event_queue.h.
+ * event_queue.h. A closure whose captures outgrow std::function's
+ * small buffer allocates on every schedule, so no hot path uses it,
+ * and priority scheduling (the network's arrival flushes) takes an
+ * owned Event only.
  */
 
 #ifndef PIRANHA_SIM_EVENT_H

@@ -146,15 +146,6 @@ class EventQueue
         schedule(*ev, when);
     }
 
-    /** Closure variant of schedulePriority (network arrival flushes). */
-    void
-    schedulePriority(Tick when, EventFn fn)
-    {
-        LambdaEvent *ev = acquireLambda();
-        ev->_fn = std::move(fn);
-        schedulePriority(*ev, when);
-    }
-
     /** Schedule closure @p fn to run @p delta ticks from now. */
     void
     scheduleIn(Tick delta, EventFn fn)

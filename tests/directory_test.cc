@@ -61,8 +61,9 @@ TEST(DirEntry, CoarseVectorIsConservative)
     // (over-invalidation is allowed; missing a sharer is not).
     unsigned gs = DirEntry::groupSize(1024);
     EXPECT_TRUE(e.mayBeSharer(static_cast<NodeId>(gs - 1)));
-    // All true sharers must be covered by sharerList().
-    auto list = e.sharerList();
+    // All true sharers must be covered by sharers().
+    std::vector<NodeId> list;
+    e.sharers(list);
     for (NodeId n : {0, 100, 200, 300, 400}) {
         EXPECT_NE(std::find(list.begin(), list.end(), n), list.end())
             << "missing true sharer " << n;

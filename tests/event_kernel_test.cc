@@ -336,9 +336,10 @@ class RefQueue
 };
 
 /**
- * EventQueue behind the same interface: ids without a handle go
- * through the closure API, ids with one through intrusive events that
- * the script can deschedule.
+ * EventQueue behind the same interface: normal-band ids without a
+ * handle go through the closure API; ids with a handle, which the
+ * script can deschedule, and every priority id go through intrusive
+ * events (there is no closure variant of schedulePriority).
  */
 class KernelQueue
 {
@@ -353,9 +354,8 @@ class KernelQueue
     void
     schedule(Tick when, int id, bool prio, bool handle)
     {
-        if (!handle) {
-            auto fn = [this, id] { _fire(id); };
-            prio ? _eq.schedulePriority(when, fn) : _eq.schedule(when, fn);
+        if (!handle && !prio) {
+            _eq.schedule(when, [this, id] { _fire(id); });
             return;
         }
         auto &ev = _events[id] = std::make_unique<FireEvent>(this, id);

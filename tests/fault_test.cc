@@ -29,7 +29,7 @@ oltpFactory()
     return [] { return std::make_unique<OltpWorkload>(); };
 }
 
-CampaignSpec
+[[maybe_unused]] CampaignSpec
 smallCampaign(FaultKind kind, unsigned count, std::uint64_t work,
               unsigned nodes = 1)
 {

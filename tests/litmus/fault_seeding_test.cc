@@ -257,7 +257,7 @@ probeStaleCmi()
     return p.finish(a);
 }
 
-ProbeOutcome
+[[maybe_unused]] ProbeOutcome
 runProbe(ProtocolFault f)
 {
     switch (f) {

@@ -138,5 +138,94 @@ TEST(Network, LongPacketsSlowerThanShort)
     EXPECT_GT(long_t, short_t);
 }
 
+/** A terminal delivery seen by a node: when, and from whom. */
+struct Seen
+{
+    Tick tick;
+    NodeId src;
+    std::uint64_t reqId;
+    bool operator==(const Seen &) const = default;
+};
+
+/** Nodes 0..n-1, fully connected, logging every delivery in order. */
+struct OrderHarness : Harness
+{
+    std::vector<Seen> log;
+
+    explicit OrderHarness(unsigned n)
+    {
+        for (unsigned i = 0; i < n; ++i)
+            net.addNode(static_cast<NodeId>(i),
+                        [this](const NetPacket &p) {
+                            log.push_back({eq.curTick(), p.src, p.reqId});
+                        });
+        Network::buildFullyConnected(net);
+    }
+
+    /** Inject @p p at absolute tick @p when. */
+    void
+    injectAt(Tick when, NetPacket p)
+    {
+        eq.schedule(when, [this, p] { net.inject(p); });
+    }
+};
+
+// Default NetworkParams in ticks: output queue 2 ns, link 10 ns, input
+// queue 4 ns; a short packet holds its channel 1 ns, a long one 5 ns.
+constexpr Tick oq = 2000, link = 10000, iq = 4000;
+constexpr Tick shortOcc = 1000, longOcc = 5000;
+
+TEST(Network, SameTickArrivalsContinueInSenderOrder)
+{
+    // Nodes 2 and 1 each send one hop to node 0 at tick 0, node 2
+    // first. Both arrive at the same tick, and the bucket continues
+    // them by sender id, not in the order their hops were computed.
+    OrderHarness h(3);
+    h.net.inject(h.pkt(2, 0, 20));
+    h.net.inject(h.pkt(1, 0, 10));
+    h.eq.run();
+    Tick at = oq + shortOcc + link + iq;
+    EXPECT_EQ(h.log, (std::vector<Seen>{{at, 1, 10}, {at, 2, 20}}));
+}
+
+TEST(Network, SameTickArrivalsContinueInSendTickOrder)
+{
+    // Node 2 sends a long packet at tick 0 and node 1 a short one 4 ns
+    // later: both reach node 0 at the same tick. The earlier send goes
+    // first although its sender id is higher.
+    OrderHarness h(3);
+    NetPacket early = h.pkt(2, 0, 20);
+    early.hasData = true;
+    h.net.inject(early);
+    h.injectAt(longOcc - shortOcc, h.pkt(1, 0, 10));
+    h.eq.run();
+    Tick at = oq + longOcc + link + iq;
+    EXPECT_EQ(h.log, (std::vector<Seen>{{at, 2, 20}, {at, 1, 10}}));
+}
+
+TEST(Network, EachStagedTickFlushesOnceInTickOrder)
+{
+    // Node 0 has arrivals staged for two ticks at once: two short
+    // packets (nodes 1 and 2) for the earlier tick, and for the later
+    // one a long packet (node 3) plus a short one node 1 sends 4 ns
+    // after the rest. Each bucket is flushed exactly once, the earlier
+    // first: 4 hops, 1 delayed injection, 2 flushes, 4 deliveries.
+    OrderHarness h(4);
+    h.net.inject(h.pkt(1, 0, 11));
+    h.net.inject(h.pkt(2, 0, 20));
+    NetPacket big = h.pkt(3, 0, 30);
+    big.hasData = true;
+    h.net.inject(big);
+    h.injectAt(longOcc - shortOcc, h.pkt(1, 0, 12));
+    h.eq.run();
+    Tick first = oq + shortOcc + link + iq;
+    Tick second = oq + longOcc + link + iq;
+    EXPECT_EQ(h.log, (std::vector<Seen>{{first, 1, 11},
+                                        {first, 2, 20},
+                                        {second, 3, 30},
+                                        {second, 1, 12}}));
+    EXPECT_EQ(h.eq.executed(), 11u);
+}
+
 } // namespace
 } // namespace piranha
