@@ -58,14 +58,15 @@ void
 L2Bank::debugDump(std::ostream &os) const
 {
     _info.forEach([&](Addr line, const Info &info) {
-        if (!info.busy && !info.peActive && info.blocked.empty())
+        if (!info.pend)
             return;
+        const Pending &p = *info.pend;
         os << "  " << name() << " line=" << std::hex << (line << 6)
            << std::dec << " busy=" << info.busy
-           << " txn=" << static_cast<int>(info.txn.kind)
-           << " peActive=" << info.peActive
-           << " peTxn=" << static_cast<int>(info.peTxn.kind)
-           << " blocked=" << info.blocked.size()
+           << " txn=" << (info.busy ? static_cast<int>(p.txn.kind) : 0)
+           << " peActive=" << info.peActive << " peTxn="
+           << (info.peActive ? static_cast<int>(p.peTxn.kind) : 0)
+           << " blocked=" << p.blocked.size()
            << " sharers=" << std::hex << info.sharers << std::dec
            << " owner=" << info.ownerL1 << " l1Excl=" << info.l1Excl
            << " nodeExcl=" << info.nodeExcl << "\n";
@@ -85,8 +86,7 @@ L2Bank::maybeErase(Addr addr)
     const Info *i = _info.find(lineNum(addr));
     if (!i)
         return;
-    if (!i->busy && !i->peActive && i->blocked.empty() &&
-        i->sharers == 0 && !i->nodeExcl && !i->nodeDirty &&
+    if (!i->pend && i->sharers == 0 && !i->nodeExcl && !i->nodeDirty &&
         !_tags.find(addr)) {
         if (_lastInfo == i)
             _lastInfo = nullptr;
@@ -141,7 +141,7 @@ L2Bank::canProcess(const Info &info, const IcsMsg &msg) const
         // line inter-node, so this is race-free) but not with any
         // other transaction kind.
         return !info.peActive &&
-               (!info.busy || info.txn.kind == Info::Txn::L1Engine);
+               (!info.busy || info.pend->txn.kind == Txn::L1Engine);
       default:
         return true;
     }
@@ -204,7 +204,7 @@ L2Bank::lookupDispatch(IcsMsg m)
         break;
       case IcsMsgType::PeComplete: {
         Info &info = infoFor(m.addr);
-        if (!info.peActive || info.peTxn.kind != Info::Txn::PeHeld)
+        if (!info.peActive || info.pend->peTxn.kind != Txn::PeHeld)
             panic("%s: PeComplete without held line", name().c_str());
         finishPeTxn(m.addr);
         break;
@@ -219,9 +219,8 @@ void
 L2Bank::onL1Request(IcsMsg msg)
 {
     Info &info = infoFor(msg.addr);
-    if (!canProcess(info, msg) || !info.blocked.empty()) {
-        ++statBlockedReqs;
-        info.blocked.push_back(std::move(msg));
+    if (!canProcess(info, msg) || info.blocked()) {
+        block(info, std::move(msg));
         return;
     }
     // The victim piggyback is resolved first, at this serialization
@@ -362,27 +361,25 @@ L2Bank::dispatchL1Request(IcsMsg msg, bool wb_decision)
                                  .aux = msg.l1Id,
                                  .addr = a,
                                  .mask = info.sharers});
-            info.busy = true;
-            info.txn = Info::Txn{};
-            info.txn.kind = Info::Txn::L1Fwd;
-            info.txn.req = std::move(msg);
+            Txn &t = beginTxn(info);
+            t.kind = Txn::L1Fwd;
+            t.req = std::move(msg);
             return;
         }
         // No on-chip copy: fill the L1 directly from memory without
         // allocating in the L2 (non-inclusive hierarchy).
-        info.busy = true;
-        info.txn = Info::Txn{};
-        info.txn.req = std::move(msg);
-        info.txn.wbDecision = wb_decision;
+        Txn &t = beginTxn(info);
+        t.req = std::move(msg);
+        t.wbDecision = wb_decision;
         if (isLocal(a)) {
-            info.txn.kind = Info::Txn::L1Mem;
+            t.kind = Txn::L1Mem;
             _mc.readLine(a, [this, a](const LineData &d, std::uint64_t dir) {
                 onMemData(a, d, dir);
             });
         } else {
-            info.txn.kind = Info::Txn::L1Engine;
+            t.kind = Txn::L1Engine;
             ++statEngineTrips;
-            sendEngine(info.txn.req, PeOp::ReqS, false, 0, false);
+            sendEngine(t.req, PeOp::ReqS, false, 0, false);
         }
         return;
     }
@@ -416,10 +413,9 @@ L2Bank::dispatchL1Request(IcsMsg msg, bool wb_decision)
                              .aux = msg.l1Id,
                              .addr = a,
                              .mask = info.sharers});
-        info.busy = true;
-        info.txn = Info::Txn{};
-        info.txn.kind = Info::Txn::L1Fwd;
-        info.txn.req = std::move(msg);
+        Txn &t = beginTxn(info);
+        t.kind = Txn::L1Fwd;
+        t.req = std::move(msg);
         return;
     }
 
@@ -434,24 +430,23 @@ L2Bank::dispatchL1Request(IcsMsg msg, bool wb_decision)
         return;
     }
 
-    info.busy = true;
-    info.txn = Info::Txn{};
-    info.txn.wbDecision = wb_decision;
+    Txn &t = beginTxn(info);
+    t.wbDecision = wb_decision;
     if (isLocal(a)) {
         // Read the directory (free with the line's ECC bits) and
         // decide whether remote action is needed.
-        info.txn.kind = Info::Txn::L1Mem;
-        info.txn.req = std::move(msg);
+        t.kind = Txn::L1Mem;
+        t.req = std::move(msg);
         _mc.readLine(a, [this, a](const LineData &d, std::uint64_t dir) {
             onMemData(a, d, dir);
         });
     } else {
-        info.txn.kind = Info::Txn::L1Engine;
+        t.kind = Txn::L1Engine;
         ++statEngineTrips;
         bool have_local_data = l2l != nullptr || info.sharers != 0;
         PeOp op = have_local_data ? PeOp::ReqUpgrade : PeOp::ReqX;
-        info.txn.req = std::move(msg);
-        sendEngine(info.txn.req, op, false, 0, false);
+        t.req = std::move(msg);
+        sendEngine(t.req, op, false, 0, false);
     }
 }
 
@@ -510,12 +505,10 @@ L2Bank::grantLocalExclusive(IcsMsg req, bool wb_decision,
         info.sharers = bit;
         info.ownerL1 = req.l1Id;
         info.l1Excl = true;
-        info.busy = true;
-        Info::Txn txn;
-        txn.kind = Info::Txn::L1Fwd;
-        txn.req = std::move(req);
-        txn.wbDecision = wb_decision;
-        info.txn = std::move(txn);
+        Txn &t = beginTxn(info);
+        t.kind = Txn::L1Fwd;
+        t.req = std::move(req);
+        t.wbDecision = wb_decision;
         if (isLocal(a))
             info.pdir = Info::PD_None;
         else
@@ -550,7 +543,7 @@ L2Bank::grantLocalExclusive(IcsMsg req, bool wb_decision,
     else
         info.nodeExcl = true;
 
-    if (info.busy && info.txn.kind != Info::Txn::L1Fwd)
+    if (info.busy && info.pend->txn.kind != Txn::L1Fwd)
         finishTxn(a);
 }
 
@@ -558,18 +551,19 @@ void
 L2Bank::onMemData(Addr addr, const LineData &data, std::uint64_t dir_bits)
 {
     Info &info = infoFor(addr);
-    if (!info.busy || info.txn.kind != Info::Txn::L1Mem)
+    if (!info.busy || info.pend->txn.kind != Txn::L1Mem)
         panic("%s: stray memory data for %#llx", name().c_str(),
               static_cast<unsigned long long>(addr));
+    Txn &txn = info.pend->txn;
     DirEntry dir = DirEntry::unpack(dir_bits, _amap.numNodes);
-    IcsMsg req = info.txn.req;
+    IcsMsg req = txn.req;
     std::uint32_t bit = 1u << req.l1Id;
     bool ifetch = isInstrL1(req.l1Id);
 
     if (req.type == IcsMsgType::GetS) {
         if (dir.state() == DirState::Exclusive) {
             ++statEngineTrips;
-            info.txn.kind = Info::Txn::L1Engine;
+            txn.kind = Txn::L1Engine;
             sendEngine(req, PeOp::ReqS, true, dir_bits, true);
             // Engine ops blocked during the memory read may now
             // interleave with the parked transaction.
@@ -579,7 +573,7 @@ L2Bank::onMemData(Addr addr, const LineData &data, std::uint64_t dir_bits)
         ++statMemLocal;
         bool excl = dir.empty() && !ifetch;
         replyFill(req, data, true, excl, FillSource::MemLocal,
-                  info.txn.wbDecision);
+                  txn.wbDecision);
         info.sharers |= bit;
         info.ownerL1 = req.l1Id;
         info.l1Excl = excl;
@@ -591,13 +585,13 @@ L2Bank::onMemData(Addr addr, const LineData &data, std::uint64_t dir_bits)
     // Exclusive-class request.
     if (dir.empty()) {
         info.pdir = Info::PD_None;
-        grantLocalExclusive(req, info.txn.wbDecision, &data);
+        grantLocalExclusive(req, txn.wbDecision, &data);
         return;
     }
     // Remote copies exist: the home engine re-reads the directory at
     // its own serialization point and completes the remote side.
     ++statEngineTrips;
-    info.txn.kind = Info::Txn::L1Engine;
+    txn.kind = Txn::L1Engine;
     sendEngine(req, PeOp::ReqX, true, dir_bits, true);
     drainBlocked(addr);
 }
@@ -607,10 +601,11 @@ L2Bank::onPeData(const IcsMsg &msg)
 {
     Addr a = msg.addr;
     Info &info = infoFor(a);
-    if (!info.busy || info.txn.kind != Info::Txn::L1Engine)
+    if (!info.busy || info.pend->txn.kind != Txn::L1Engine)
         panic("%s: stray PeData for %#llx", name().c_str(),
               static_cast<unsigned long long>(a));
-    IcsMsg req = info.txn.req;
+    IcsMsg req = info.pend->txn.req;
+    bool wb_decision = info.pend->txn.wbDecision;
     std::uint32_t bit = 1u << req.l1Id;
 
     // Count the remote service for the miss breakdown.
@@ -623,7 +618,7 @@ L2Bank::onPeData(const IcsMsg &msg)
 
     if (req.type == IcsMsgType::GetS) {
         replyFill(req, msg.data, true, msg.exclusive, msg.source,
-                  info.txn.wbDecision);
+                  wb_decision);
         info.sharers |= bit;
         info.ownerL1 = req.l1Id;
         info.l1Excl = msg.exclusive;
@@ -642,8 +637,7 @@ L2Bank::onPeData(const IcsMsg &msg)
         invalL1Sharers(info, a, -1);
         invalL2Copy(info, a);
         info.nodeDirty = false;
-        replyFill(req, msg.data, true, true, msg.source,
-                  info.txn.wbDecision);
+        replyFill(req, msg.data, true, true, msg.source, wb_decision);
         info.sharers = bit;
         info.ownerL1 = req.l1Id;
         info.l1Excl = true;
@@ -660,7 +654,7 @@ L2Bank::onPeData(const IcsMsg &msg)
         else
             info.nodeExcl = true;
         LineData mem = msg.data;
-        grantLocalExclusive(req, info.txn.wbDecision,
+        grantLocalExclusive(req, wb_decision,
                             msg.hasData ? &mem : nullptr);
     }
 }
@@ -670,11 +664,12 @@ L2Bank::onFwdDone(const IcsMsg &msg)
 {
     Addr a = msg.addr;
     Info &info = infoFor(a);
-    if (info.peActive && info.peTxn.kind == Info::Txn::PeReadFwd) {
-        info.peTxn.gatherDirty = msg.victimDirty || info.nodeDirty ||
-                                 info.peTxn.gatherDirty;
+    if (info.peActive && info.pend->peTxn.kind == Txn::PeReadFwd) {
+        Txn &pt = info.pend->peTxn;
+        pt.gatherDirty = msg.victimDirty || info.nodeDirty ||
+                         pt.gatherDirty;
         // Apply the requested mode now that data is captured.
-        if (info.peTxn.req.mode == PeLocalMode::Excl) {
+        if (pt.req.mode == PeLocalMode::Excl) {
             invalL1Sharers(info, a, -1);
             invalL2Copy(info, a);
             info.nodeExcl = false;
@@ -686,13 +681,13 @@ L2Bank::onFwdDone(const IcsMsg &msg)
             info.nodeDirty = false; // home writes memory current
         }
         info.pdir = Info::PD_Unknown;
-        info.peTxn.kind = Info::Txn::PeRead;
+        pt.kind = Txn::PeRead;
         completePeRead(a);
         return;
     }
-    if (!info.busy || info.txn.kind != Info::Txn::L1Fwd)
+    if (!info.busy || info.pend->txn.kind != Txn::L1Fwd)
         panic("%s: FwdDone without forward txn", name().c_str());
-    if (info.txn.req.type == IcsMsgType::GetS) {
+    if (info.pend->txn.req.type == IcsMsgType::GetS) {
         // Dirty data may now live in shared L1 copies.
         info.nodeDirty = info.nodeDirty || msg.victimDirty;
     } else {
@@ -706,10 +701,10 @@ void
 L2Bank::onGatherData(const IcsMsg &msg)
 {
     Info &info = infoFor(msg.addr);
-    if (!info.peActive || info.peTxn.kind != Info::Txn::PeReadFwd)
+    if (!info.peActive || info.pend->peTxn.kind != Txn::PeReadFwd)
         panic("%s: stray gather data", name().c_str());
-    info.peTxn.data = msg.data;
-    info.peTxn.haveData = true;
+    info.pend->peTxn.data = msg.data;
+    info.pend->peTxn.haveData = true;
 }
 
 void
@@ -717,7 +712,7 @@ L2Bank::onWbData(const IcsMsg &msg)
 {
     Addr a = msg.addr;
     Info &info = infoFor(a);
-    if (!info.busy || info.txn.kind != Info::Txn::WbWait)
+    if (!info.busy || info.pend->txn.kind != Txn::WbWait)
         panic("%s: unexpected WbData for %#llx", name().c_str(),
               static_cast<unsigned long long>(a));
     ++statWbInstalls;
@@ -818,16 +813,14 @@ L2Bank::onPeReadLocal(IcsMsg msg)
     Addr a = msg.addr;
     Info &info = infoFor(a);
     if (!canProcess(info, msg)) {
-        ++statBlockedReqs;
-        info.blocked.push_back(std::move(msg));
+        block(info, std::move(msg));
         return;
     }
-    info.peActive = true;
-    info.peTxn = Info::Txn{};
-    info.peTxn.kind = Info::Txn::PeRead;
-    info.peTxn.req = msg;
+    Txn &pt = beginPeTxn(info);
+    pt.kind = Txn::PeRead;
+    pt.req = msg;
     L2Line *l2l = findChecked(a);
-    info.peTxn.localPresent = l2l || info.sharers != 0;
+    pt.localPresent = l2l || info.sharers != 0;
 
     bool need_data = msg.mode != PeLocalMode::DirOnly;
 
@@ -845,13 +838,13 @@ L2Bank::onPeReadLocal(IcsMsg msg)
         _ics.send(std::move(fwd));
         if (msg.mode == PeLocalMode::Excl)
             invalL1Sharers(info, a, owner);
-        info.peTxn.kind = Info::Txn::PeReadFwd;
+        pt.kind = Txn::PeReadFwd;
         // Remaining mode effects are applied at FwdDone.
     } else {
         if (need_data && l2l) {
-            info.peTxn.haveData = true;
-            info.peTxn.data = l2l->data;
-            info.peTxn.gatherDirty = l2l->dirty || info.nodeDirty;
+            pt.haveData = true;
+            pt.data = l2l->data;
+            pt.gatherDirty = l2l->dirty || info.nodeDirty;
         }
         if (msg.mode == PeLocalMode::Excl) {
             invalL1Sharers(info, a, -1);
@@ -876,19 +869,20 @@ L2Bank::onPeReadLocal(IcsMsg msg)
             Info &i = infoFor(a);
             if (!i.peActive)
                 panic("%s: stray dir read", name().c_str());
-            i.peTxn.dirBits = dir;
-            i.peTxn.haveDir = true;
-            if (!i.peTxn.haveData && !i.peTxn.localPresent &&
-                i.peTxn.req.mode != PeLocalMode::DirOnly) {
-                i.peTxn.data = d;
-                i.peTxn.haveData = true;
+            Txn &t = i.pend->peTxn;
+            t.dirBits = dir;
+            t.haveDir = true;
+            if (!t.haveData && !t.localPresent &&
+                t.req.mode != PeLocalMode::DirOnly) {
+                t.data = d;
+                t.haveData = true;
             }
-            if (i.peTxn.kind == Info::Txn::PeRead)
+            if (t.kind == Txn::PeRead)
                 completePeRead(a);
         });
     } else {
-        info.peTxn.haveDir = true; // not applicable off-home
-        if (info.peTxn.kind == Info::Txn::PeRead)
+        pt.haveDir = true; // not applicable off-home
+        if (pt.kind == Txn::PeRead)
             completePeRead(a);
     }
 }
@@ -896,8 +890,7 @@ L2Bank::onPeReadLocal(IcsMsg msg)
 void
 L2Bank::completePeRead(Addr addr)
 {
-    Info &info = infoFor(addr);
-    Info::Txn &t = info.peTxn;
+    Txn &t = infoFor(addr).pend->peTxn;
     bool need_data = t.req.mode != PeLocalMode::DirOnly;
     bool dir_needed = isLocal(addr);
     if ((need_data && !t.haveData && t.localPresent) ||
@@ -927,7 +920,7 @@ L2Bank::completePeRead(Addr addr)
         // Keep the pending entry blocked; the engine releases it with
         // PeComplete when its transaction (directory update, memory
         // write, forwarded data) is complete.
-        info.peTxn.kind = Info::Txn::PeHeld;
+        t.kind = Txn::PeHeld;
         return;
     }
     finishPeTxn(addr);
@@ -939,13 +932,12 @@ L2Bank::onPeInvalLocal(IcsMsg msg)
     Addr a = msg.addr;
     Info &info = infoFor(a);
     if (!canProcess(info, msg)) {
-        ++statBlockedReqs;
-        info.blocked.push_back(std::move(msg));
+        block(info, std::move(msg));
         return;
     }
     bool acquiring_excl =
-        info.busy && info.txn.kind == Info::Txn::L1Engine &&
-        info.txn.req.type != IcsMsgType::GetS;
+        info.busy && info.pend->txn.kind == Txn::L1Engine &&
+        info.pend->txn.req.type != IcsMsgType::GetS;
     bool apply = !info.l1Excl && !info.nodeExcl && !acquiring_excl;
     PIR_TRACE(_p.tracer, TraceEvent{.tick = curTick(),
                                     .kind = TraceKind::CmiInval,
@@ -1075,12 +1067,47 @@ L2Bank::sendEngine(const IcsMsg &req, PeOp op, bool to_home,
     _ics.send(std::move(m));
 }
 
+L2Bank::Txn &
+L2Bank::beginTxn(Info &info)
+{
+    info.busy = true;
+    Txn &t = pendingFor(info).txn;
+    t = Txn{};
+    return t;
+}
+
+L2Bank::Txn &
+L2Bank::beginPeTxn(Info &info)
+{
+    info.peActive = true;
+    Txn &t = pendingFor(info).peTxn;
+    t = Txn{};
+    return t;
+}
+
+void
+L2Bank::block(Info &info, IcsMsg msg)
+{
+    ++statBlockedReqs;
+    pendingFor(info).blocked.push_back(std::move(msg));
+}
+
+void
+L2Bank::releaseIfIdle(Info &info)
+{
+    if (info.pend && !info.busy && !info.peActive &&
+        info.pend->blocked.empty()) {
+        _pending.release(info.pend);
+        info.pend = nullptr;
+    }
+}
+
 void
 L2Bank::finishTxn(Addr addr)
 {
     Info &info = infoFor(addr);
     info.busy = false;
-    info.txn = Info::Txn{};
+    releaseIfIdle(info);
     maybeErase(addr);
     drainBlocked(addr);
 }
@@ -1090,7 +1117,7 @@ L2Bank::finishPeTxn(Addr addr)
 {
     Info &info = infoFor(addr);
     info.peActive = false;
-    info.peTxn = Info::Txn{};
+    releaseIfIdle(info);
     maybeErase(addr);
     drainBlocked(addr);
 }
@@ -1099,12 +1126,12 @@ void
 L2Bank::drainBlocked(Addr addr)
 {
     Info *info = _info.find(lineNum(addr));
-    if (!info || info->blocked.empty())
+    if (!info || !info->blocked())
         return;
     // Oldest-first, but engine-initiated ops may overtake blocked L1
     // requests (they interleave with a parked L1Engine transaction;
     // holding them back would deadlock the engines).
-    auto &q = info->blocked;
+    auto &q = info->pend->blocked;
     std::size_t pick = q.size();
     for (std::size_t qi = 0; qi < q.size(); ++qi) {
         if (canProcess(*info, q[qi])) {
@@ -1116,6 +1143,7 @@ L2Bank::drainBlocked(Addr addr)
         return;
     IcsMsg next = std::move(q[pick]);
     q.erase(pick);
+    releaseIfIdle(*info);
     MsgEvent *ev = _msgEvents.acquire(this);
     ev->msg = std::move(next);
     ev->drainRetry = true;
@@ -1136,7 +1164,7 @@ L2Bank::drainRetryDispatch(IcsMsg next)
       default: {
         Info &info = infoFor(a);
         if (!canProcess(info, next)) {
-            info.blocked.push_front(std::move(next));
+            pendingFor(info).blocked.push_front(std::move(next));
             return;
         }
         bool wb_decision = false;

@@ -36,6 +36,7 @@
 #include "mem/directory.h"
 #include "mem/mem_ctrl.h"
 #include "sim/line_table.h"
+#include "sim/recycle_pool.h"
 #include "sim/ring_buffer.h"
 #include "sim/sim_object.h"
 #include "stats/stats.h"
@@ -106,6 +107,8 @@ class L2Bank : public SimObject, public IcsClient
     /** Test support: current duplicate-tag view of a line. */
     std::uint32_t dupSharers(Addr addr) const;
     bool lineBusy(Addr addr) const;
+    /** Test support: lines holding a pooled Pending record. */
+    std::size_t pendingRecords() const { return _pending.live(); }
 
     /** Diagnostic dump of busy lines. */
     void debugDump(std::ostream &os) const;
@@ -142,6 +145,57 @@ class L2Bank : public SimObject, public IcsClient
     }
 
   private:
+    /** Transaction state of one line (see Pending). */
+    struct Txn
+    {
+        enum Kind : std::uint8_t
+        {
+            None,
+            L1Fwd,    //!< forwarded to owner L1, awaiting FwdDone
+            L1Mem,    //!< local memory read in flight
+            L1Engine, //!< protocol engine action in flight
+            WbWait,   //!< authorized L1 write-back inbound
+            PeRead,   //!< engine-initiated local gather
+            PeReadFwd, //!< gather forwarded to owner L1
+            PeHeld    //!< replied, held until PeComplete
+        } kind = None;
+
+        IcsMsg req;             //!< original request
+        bool wbDecision = false;
+        bool upgradeTurnedFill = false;
+        // PeRead gather state.
+        LineData data;
+        bool haveData = false;
+        bool gatherDirty = false;
+        std::uint64_t dirBits = 0;
+        bool haveDir = false;
+        bool localPresent = false;
+    };
+
+    /**
+     * The state of a line with work in flight: its active
+     * transactions and the requests queued behind them. Only a few
+     * lines are ever in flight, so this lives in a bank-owned pool and
+     * Info points at it: a record is taken when a line becomes busy,
+     * gets an engine op or queues a request, and returned when all
+     * three are over. A returned record keeps its queue's capacity.
+     */
+    struct Pending
+    {
+        Txn txn; //!< valid while Info::busy
+        /**
+         * Engine-initiated transaction slot (valid while
+         * Info::peActive). Kept separate from txn so a protocol engine
+         * can read/invalidate local state while an L1 request on the
+         * same line is parked waiting for that same engine (avoids
+         * L2/engine deadlock; the engine is the inter-node
+         * serialization point, so the results it returns reflect the
+         * remote op's outcome).
+         */
+        Txn peTxn;
+        RingBuffer<IcsMsg> blocked;
+    };
+
     /** Per-line on-chip bookkeeping (duplicate tags + ownership). */
     struct Info
     {
@@ -164,45 +218,15 @@ class L2Bank : public SimObject, public IcsClient
 
         bool busy = false;     //!< an L1-request transaction is active
         bool peActive = false; //!< an engine-initiated op is active
-        RingBuffer<IcsMsg> blocked;
+        /** Non-null exactly while busy, peActive or requests are
+         *  blocked on the line. */
+        Pending *pend = nullptr;
 
-        /** Active transaction state. */
-        struct Txn
-        {
-            enum Kind : std::uint8_t
-            {
-                None,
-                L1Fwd,    //!< forwarded to owner L1, awaiting FwdDone
-                L1Mem,    //!< local memory read in flight
-                L1Engine, //!< protocol engine action in flight
-                WbWait,   //!< authorized L1 write-back inbound
-                PeRead,   //!< engine-initiated local gather
-                PeReadFwd, //!< gather forwarded to owner L1
-                PeHeld    //!< replied, held until PeComplete
-            } kind = None;
-
-            IcsMsg req;             //!< original request
-            bool wbDecision = false;
-            bool upgradeTurnedFill = false;
-            // PeRead gather state.
-            LineData data;
-            bool haveData = false;
-            bool gatherDirty = false;
-            std::uint64_t dirBits = 0;
-            bool haveDir = false;
-            bool localPresent = false;
-        } txn;
-
-        /**
-         * Engine-initiated transaction slot. Kept separate from txn
-         * so a protocol engine can read/invalidate local state while
-         * an L1 request on the same line is parked waiting for that
-         * same engine (avoids L2/engine deadlock; the engine is the
-         * inter-node serialization point, so the results it returns
-         * reflect the remote op's outcome).
-         */
-        Txn peTxn;
+        bool blocked() const { return pend && !pend->blocked.empty(); }
     };
+    // Every line the bank tracks pays for an Info; in-flight state
+    // belongs in Pending.
+    static_assert(sizeof(Info) <= 32);
 
     /**
      * One in-flight bank-pipeline occurrence: a delivered message
@@ -240,6 +264,24 @@ class L2Bank : public SimObject, public IcsClient
     }
 
     void maybeErase(Addr addr);
+
+    /** The line's Pending record, taken from the pool if it has none. */
+    Pending &
+    pendingFor(Info &info)
+    {
+        if (!info.pend)
+            info.pend = _pending.acquire();
+        return *info.pend;
+    }
+
+    /** Mark the line busy (beginTxn) or engine-active (beginPeTxn)
+     *  and return its transaction slot, reset. */
+    Txn &beginTxn(Info &info);
+    Txn &beginPeTxn(Info &info);
+    /** Queue @p msg behind the line's active transaction. */
+    void block(Info &info, IcsMsg msg);
+    /** Return the line's Pending record once nothing is in flight. */
+    void releaseIfIdle(Info &info);
 
 #if PIRANHA_FAULT_INJECT
     /**
@@ -298,6 +340,7 @@ class L2Bank : public SimObject, public IcsClient
      *  holds Info& across calls that may create state for other
      *  lines). */
     StableLineTable<Info> _info;
+    RecyclePool<Pending> _pending;
     Addr _lastInfoLine = 0;
     Info *_lastInfo = nullptr;
     std::function<void(Addr, const LineData &, bool)> _wbBufferHook;

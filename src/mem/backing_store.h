@@ -2,19 +2,29 @@
  * @file
  * Functional memory contents for one node.
  *
- * Lines materialize on first touch (sparse table), so simulating the
- * paper's multi-hundred-megabyte database working sets costs memory
- * proportional to the lines actually referenced. Each line stores its
- * 64 data bytes plus the 44 directory bits that live in the freed ECC
- * bits (paper §2.5.2). The table is the flat open-addressed LineTable:
- * every memory read and posted write goes through it, and it showed up
- * as one of the hottest host-side maps under OLTP.
+ * Memory is sparse, so simulating the paper's multi-hundred-megabyte
+ * database working sets costs host memory proportional to the lines
+ * actually referenced, and line data proportional to the lines
+ * actually written. Each stored line holds its 64 data bytes plus the
+ * 44 directory bits that live in the freed ECC bits (paper §2.5.2).
+ *
+ * Two structures:
+ *  - an index (the flat open-addressed LineTable) from line number to
+ *    a 1-based slot in the stored-line array, with 0 meaning touched
+ *    but never written — such a line reads as zeros;
+ *  - a dense array of the written lines.
+ *
+ * A read only records the line in the index, so a read-only scan
+ * (DSS) leaves a 4-byte value per line instead of a 72-byte line.
+ * Every memory read and posted write goes through the index, and it
+ * showed up as one of the hottest host-side maps under OLTP.
  */
 
 #ifndef PIRANHA_MEM_BACKING_STORE_H
 #define PIRANHA_MEM_BACKING_STORE_H
 
 #include <cstdint>
+#include <vector>
 
 #include "mem/coherence_types.h"
 #include "sim/line_table.h"
@@ -32,37 +42,56 @@ class BackingStore
         std::uint64_t dirBits = 0;
     };
 
-    /** Access (and materialize) the line containing @p addr. The
-     *  reference is invalidated by the next materializing access. */
+    /** Writable access to the line containing @p addr; touches it and
+     *  gives it storage. The reference is invalidated by the next
+     *  access that stores a new line. */
     Line &
     line(Addr addr)
     {
-        return _lines[lineNum(addr)];
+        std::uint32_t &slot = _index[lineNum(addr)];
+        if (slot == 0) {
+            _stored.emplace_back();
+            slot = static_cast<std::uint32_t>(_stored.size());
+        }
+        return _stored[slot - 1];
     }
 
-    /** Read-only access; returns a zero line if never touched. */
+    /** A memory-controller read: touches the line (it joins the
+     *  forEachLine walk) but stores nothing for a never-written one.
+     *  The reference is invalidated by the next line(). */
+    const Line &
+    read(Addr addr)
+    {
+        std::uint32_t slot = _index[lineNum(addr)];
+        return slot ? _stored[slot - 1] : kZeroLine;
+    }
+
+    /** Read-only access; returns a zero line if never written. */
     Line
     peek(Addr addr) const
     {
-        const Line *l = _lines.find(lineNum(addr));
-        return l ? *l : Line{};
+        const std::uint32_t *slot = _index.find(lineNum(addr));
+        return slot && *slot ? _stored[*slot - 1] : Line{};
     }
 
-    /** Number of materialized lines (footprint statistics). */
-    std::size_t touchedLines() const { return _lines.size(); }
+    /** Number of touched lines (read or written). */
+    std::size_t touchedLines() const { return _index.size(); }
+
+    /** Number of lines holding data (ever written). */
+    std::size_t storedLines() const { return _stored.size(); }
 
     /**
-     * Visit every materialized line as (lineAddr, Line&). Iteration
-     * order is a deterministic function of the insertion history, so
-     * fault-site selection driven by a seeded RNG over this walk is
-     * reproducible run-to-run.
+     * Visit the address of every touched line. Iteration order is a
+     * deterministic function of the touch history, so fault-site
+     * selection driven by a seeded RNG over this walk is reproducible
+     * run-to-run.
      */
     template <typename F>
     void
-    forEachLine(F f)
+    forEachLine(F f) const
     {
-        _lines.forEach([&](std::uint64_t line_num, Line &l) {
-            f(static_cast<Addr>(line_num * lineBytes), l);
+        _index.forEach([&](std::uint64_t line_num, std::uint32_t) {
+            f(static_cast<Addr>(line_num * lineBytes));
         });
     }
 
@@ -82,8 +111,13 @@ class BackingStore
     }
 
   private:
-    LineTable<Line> _lines;
+    static const Line kZeroLine;
+
+    LineTable<std::uint32_t> _index;
+    std::vector<Line> _stored;
 };
+
+inline const BackingStore::Line BackingStore::kZeroLine{};
 
 } // namespace piranha
 

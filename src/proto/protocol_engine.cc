@@ -59,9 +59,9 @@ ProtocolEngine::debugDump(std::ostream &os) const
            << " origLocalOp=" << static_cast<int>(t.origLocal.peOp)
            << "\n";
     }
-    _lineQueue.forEach([&](Addr line, const RingBuffer<QMsg> &q) {
+    _lineQueue.forEach([&](Addr line, const RingBuffer<QMsg> *q) {
         os << "  " << name() << " lineQueue " << std::hex << line
-           << std::dec << " depth=" << q.size() << "\n";
+           << std::dec << " depth=" << q->size() << "\n";
     });
     if (!_globalQueue.empty())
         os << "  " << name() << " globalQueue depth="
@@ -123,7 +123,7 @@ ProtocolEngine::deliverNet(const NetPacket &pkt)
         QMsg q;
         q.isNet = true;
         q.net = pkt;
-        _lineQueue[lineNum(pkt.addr)].push_back(std::move(q));
+        lineQueue(lineNum(pkt.addr)).push_back(std::move(q));
         return;
     }
     if (netIsReplyClass(pkt.type))
@@ -148,7 +148,7 @@ ProtocolEngine::icsDeliver(const IcsMsg &msg)
         q.local = msg;
         if (t) {
             ++statQueuedMsgs;
-            _lineQueue[lineNum(msg.addr)].push_back(std::move(q));
+            lineQueue(lineNum(msg.addr)).push_back(std::move(q));
         } else {
             spawnOrQueue(std::move(q));
         }
@@ -245,6 +245,22 @@ ProtocolEngine::spawn(const QMsg &m)
     wake();
 }
 
+RingBuffer<ProtocolEngine::QMsg> &
+ProtocolEngine::lineQueue(Addr line)
+{
+    RingBuffer<QMsg> *&q = _lineQueue[line];
+    if (!q)
+        q = _queuePool.acquire();
+    return *q;
+}
+
+void
+ProtocolEngine::dropLineQueue(Addr line)
+{
+    _queuePool.release(*_lineQueue.find(line));
+    _lineQueue.erase(line);
+}
+
 void
 ProtocolEngine::retire(TsrfEntry &t)
 {
@@ -261,12 +277,13 @@ ProtocolEngine::retire(TsrfEntry &t)
 
     // Per-line queue: the next transaction for this line starts once
     // its primary slot frees up.
-    RingBuffer<QMsg> *lq = _lineQueue.find(line);
-    if (was_primary && lq && !lq->empty()) {
-        QMsg next = std::move(lq->front());
-        lq->pop_front();
-        if (lq->empty())
-            _lineQueue.erase(line);
+    RingBuffer<QMsg> *const *lq = _lineQueue.find(line);
+    if (was_primary && lq) {
+        RingBuffer<QMsg> &q = **lq;
+        QMsg next = std::move(q.front());
+        q.pop_front();
+        if (q.empty())
+            dropLineQueue(line);
         if (next.isNet && netIsReplyClass(next.net.type))
             panic("%s: queued reply %s orphaned at retire",
                   name().c_str(), netMsgTypeName(next.net.type));
@@ -279,7 +296,7 @@ ProtocolEngine::retire(TsrfEntry &t)
         Addr nline = lineNum(next.isNet ? next.net.addr
                                         : next.local.addr);
         if (_active.contains(nline)) {
-            _lineQueue[nline].push_back(std::move(next));
+            lineQueue(nline).push_back(std::move(next));
             continue;
         }
         spawn(next);
@@ -291,9 +308,10 @@ bool
 ProtocolEngine::tryConsumeQueued(TsrfEntry &t, bool net_side)
 {
     Addr line = lineNum(t.addr);
-    RingBuffer<QMsg> *q = _lineQueue.find(line);
-    if (!q)
+    RingBuffer<QMsg> *const *qp = _lineQueue.find(line);
+    if (!qp)
         return false;
+    RingBuffer<QMsg> *q = *qp;
     for (std::size_t i = 0; i < q->size(); ++i) {
         QMsg &m = (*q)[i];
         if (m.isNet != net_side)
@@ -311,7 +329,7 @@ ProtocolEngine::tryConsumeQueued(TsrfEntry &t, bool net_side)
             t.local = m.local;
         q->erase(i);
         if (q->empty())
-            _lineQueue.erase(line);
+            dropLineQueue(line);
         const MicroInstr &instr = _prog.mem[t.pc];
         t.pc = static_cast<std::uint16_t>(instr.next + cc);
         return true;

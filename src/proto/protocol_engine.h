@@ -31,6 +31,7 @@
 #include "proto/microcode.h"
 #include "proto/tsrf.h"
 #include "sim/line_table.h"
+#include "sim/recycle_pool.h"
 #include "sim/ring_buffer.h"
 #include "sim/sim_object.h"
 #include "stats/stats.h"
@@ -176,6 +177,10 @@ class ProtocolEngine : public SimObject, public IcsClient
     TsrfEntry *freeEntry();
     TsrfEntry *activeFor(Addr addr);
     bool tryConsumeQueued(TsrfEntry &t, bool net_side);
+    /** The line's message queue, taken from the pool if it has none. */
+    RingBuffer<QMsg> &lineQueue(Addr line);
+    /** Return @p line's drained queue to the pool. */
+    void dropLineQueue(Addr line);
     void resumeWith(TsrfEntry &t, unsigned cc);
 
     EngineConfig _cfg;
@@ -193,7 +198,11 @@ class ProtocolEngine : public SimObject, public IcsClient
     // here, not in the entry, so spawns reuse the storage.
     std::vector<std::vector<NodeId>> _cmiTargets;
     LineTable<std::size_t> _active; //!< line -> thread
-    LineTable<RingBuffer<QMsg>> _lineQueue;
+    /** Messages queued behind a line's active transaction. A line
+     *  has a queue only while it holds messages; drained queues go
+     *  back to the pool with their capacity. */
+    LineTable<RingBuffer<QMsg> *> _lineQueue;
+    RecyclePool<RingBuffer<QMsg>> _queuePool;
     RingBuffer<QMsg> _globalQueue;
     bool _stepScheduled = false;
     std::size_t _rrNext = 0;

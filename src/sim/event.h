@@ -23,10 +23,9 @@
 #define PIRANHA_SIM_EVENT_H
 
 #include <cstdint>
-#include <memory>
 #include <utility>
-#include <vector>
 
+#include "sim/recycle_pool.h"
 #include "sim/types.h"
 
 namespace piranha {
@@ -89,38 +88,12 @@ class MemberEvent final : public Event
 };
 
 /**
- * A free-list of reusable events for call sites that may have several
- * occurrences in flight (one pooled event per pending occurrence).
- * acquire() recycles a released event or constructs a new one — the
- * pool only grows while the in-flight high-water mark does, so
- * steady-state acquire/release cycles never allocate.
+ * A free list of reusable events for call sites that may have several
+ * occurrences in flight (one pooled event per pending occurrence); the
+ * pool only grows while the in-flight high-water mark does.
  */
 template <class EvT>
-class EventPool
-{
-  public:
-    template <class... Args>
-    EvT *
-    acquire(Args &&...ctor_args)
-    {
-        if (_free.empty()) {
-            _all.push_back(
-                std::make_unique<EvT>(std::forward<Args>(ctor_args)...));
-            return _all.back().get();
-        }
-        EvT *ev = _free.back();
-        _free.pop_back();
-        return ev;
-    }
-
-    void release(EvT *ev) { _free.push_back(ev); }
-
-    std::size_t size() const { return _all.size(); }
-
-  private:
-    std::vector<std::unique_ptr<EvT>> _all;
-    std::vector<EvT *> _free;
-};
+using EventPool = RecyclePool<EvT>;
 
 } // namespace piranha
 

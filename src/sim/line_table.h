@@ -17,8 +17,8 @@
  *    are invalidated by rehash (any insert) — callers must not hold a
  *    value reference across an insert, same discipline unordered_map
  *    required across erase.
- *  - StableLineTable<V>: the slot array holds indices into a
- *    chunked slab (std::deque), so value pointers are stable across
+ *  - StableLineTable<V>: the slot array holds indices into a slab
+ *    of about 4 KB chunks, so value pointers are stable across
  *    insert/erase for the value's whole lifetime. Used where the
  *    protocol code naturally holds an Info& across calls that may
  *    create state for other lines.
@@ -30,6 +30,8 @@
 #ifndef PIRANHA_SIM_LINE_TABLE_H
 #define PIRANHA_SIM_LINE_TABLE_H
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -142,8 +144,8 @@ class LineTable
 
   private:
     /** Keys live apart from values so probes stride over a dense
-     *  16-byte array that stays cache-resident even when the value
-     *  array (e.g. 72-byte backing-store lines) far outgrows LLC. */
+     *  16-byte array and never touch the (possibly large) values
+     *  of the slots they pass. */
     struct KeySlot
     {
         Addr key = 0;
@@ -257,9 +259,9 @@ class StableLineTable
             return _slab[*idx];
         std::uint32_t slot;
         if (!_free.empty()) {
+            // Freed slots were reset by erase.
             slot = _free.back();
             _free.pop_back();
-            _slab[slot] = V{};
         } else {
             slot = static_cast<std::uint32_t>(_slab.size());
             _slab.grow();
@@ -299,9 +301,11 @@ class StableLineTable
     }
 
   private:
-    /** Fixed-chunk arena: element addresses are stable, and values
+    /** Chunked arena: element addresses are stable, and values
      *  allocated close in time share chunks (std::deque degenerates to
-     *  one element per chunk once V outgrows its 512-byte blocks). */
+     *  one element per chunk once V outgrows its 512-byte blocks).
+     *  Chunks hold about 4 KB whatever the size of V, so growing with
+     *  the working set costs one allocation per page of values. */
     class Slab
     {
       public:
@@ -328,8 +332,9 @@ class StableLineTable
         }
 
       private:
-        static constexpr std::size_t kChunkShift = 4;
-        static constexpr std::size_t kChunkSize = 1u << kChunkShift;
+        static constexpr std::size_t kChunkSize =
+            std::bit_floor(std::max<std::size_t>(4096 / sizeof(V), 1));
+        static constexpr int kChunkShift = std::countr_zero(kChunkSize);
 
         std::vector<std::unique_ptr<V[]>> _chunks;
         std::size_t _size = 0;

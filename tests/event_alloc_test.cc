@@ -208,14 +208,16 @@ warmAllocsPerKevent(const SystemConfig &cfg, std::uint64_t txns)
 /**
  * The fingerprint's P4 x 16-chip point (256 transactions): the
  * interconnect, the directory and the protocol engines' CMI planning
- * carry every packet and directory entry in reused storage. Measured
- * 3.65 per 1000 events.
+ * carry every packet and directory entry in reused storage, and the
+ * engines' per-line queues and the L2 banks' transaction records come
+ * from pools. Measured 2.39 per 1000 events, most of it run()
+ * rebuilding the 64 cores, their streams and their stats.
  */
 TEST(EventAlloc, SixteenChipOltpRunIsNearlyAllocationFree)
 {
     double rate = warmAllocsPerKevent(configPn(4, 16), 256);
     std::cout << "P4x16 OLTP: " << rate << " allocs per 1000 events\n";
-    EXPECT_LE(rate, 5.0);
+    EXPECT_LE(rate, 2.6);
 }
 
 /**

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "test_system.h"
 
 namespace piranha {
@@ -159,6 +161,45 @@ TEST(ProtocolRace, EngineQueuesDrainAfterBurst)
         EXPECT_TRUE(sys.chips[n]->remoteEngine().wbBuffer.empty() ||
                     true); // buffers may legitimately await forwards
     }
+}
+
+TEST(ProtocolRace, L2PendingRecordsReturnWhenQuiet)
+{
+    // Each CPU of chip 0 stores to one and fetches instructions from
+    // another of 8 remote-homed lines of one L2 bank, all at once.
+    // An L1 has one miss outstanding, so the 16 L1s keep every line
+    // busy on an engine trip with a request blocked behind it. Once
+    // the system quiesces, every pooled transaction record must be
+    // back in the pool.
+    TestSystem sys(2, 8);
+    const unsigned kLines = 8;
+    const unsigned banks = sys.amap.banksPerChip;
+    Addr base = homedAt(sys, 1);
+    auto line = [&](unsigned l) {
+        return base + (l % kLines) * banks * lineBytes;
+    };
+    for (unsigned round = 0; round < 3; ++round) {
+        for (unsigned c = 0; c < 8; ++c) {
+            fire(sys, 0, c, MemOp::Store, line(c + round), round);
+            MemReq req;
+            req.op = MemOp::Ifetch;
+            req.addr = line(c + round + 1);
+            req.size = 4;
+            sys.chips[0]->il1(c).access(req, [](const MemRsp &) {});
+        }
+    }
+    L2Bank &bank = sys.chips[0]->l2(sys.amap.bank(base));
+    std::size_t peak = 0;
+    while (sys.eq.step())
+        peak = std::max(peak, bank.pendingRecords());
+    EXPECT_EQ(peak, kLines);
+    EXPECT_GT(bank.statBlockedReqs.value(), 0.0);
+    for (unsigned n = 0; n < 2; ++n)
+        for (unsigned b = 0; b < banks; ++b)
+            EXPECT_EQ(sys.chips[n]->l2(b).pendingRecords(), 0u)
+                << "node " << n << " bank " << b;
+    for (unsigned l = 0; l < kLines; ++l)
+        EXPECT_FALSE(bank.lineBusy(line(l)));
 }
 
 } // namespace

@@ -74,6 +74,21 @@ INSTANTIATE_TEST_SUITE_P(
         return std::string(info.param.config);
     });
 
+/** A read-only scan touches many lines but stores data only for
+ *  lines something wrote back. */
+TEST(SystemSmoke, DssScanStoresOnlyWrittenLines)
+{
+    DssWorkload wl;
+    PiranhaSystem sys(configP8());
+    sys.run(wl, 2);
+    PiranhaChip &chip = sys.chip(0);
+    double writes = 0;
+    for (unsigned b = 0; b < AddressMap{}.banksPerChip; ++b)
+        writes += chip.mc(b).statWrites.value();
+    EXPECT_GT(chip.memory().touchedLines(), 1000u);
+    EXPECT_LE(static_cast<double>(chip.memory().storedLines()), writes);
+}
+
 TEST(SystemSmoke, MultiNodeConfigurations)
 {
     for (unsigned nodes : {2u, 3u, 4u}) {
