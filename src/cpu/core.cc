@@ -33,7 +33,7 @@ Core::regStats(StatGroup &parent)
     _stats.addScalar("loads", &statLoads, "");
     _stats.addScalar("stores", &statStores, "");
     _stats.addScalar("ifetches", &statIfetches, "");
-    parent.addChild(&_stats);
+    attachStats(parent);
 }
 
 double
@@ -42,6 +42,27 @@ Core::busyCyclesPerInstr() const
     double eff = std::min<double>(_p.issueWidth,
                                   std::max(1.0, _p.ilp.issueIlp));
     return 1.0 / eff;
+}
+
+void
+Core::reset(const WorkloadIlp &ilp)
+{
+    _nextOpEvent.squash();
+    _p.ilp = ilp;
+    _stream = nullptr;
+    _done = false;
+    _lastFetchLine = ~Addr(0);
+    _accounted = 0;
+    _credit = 0;
+    _busyCarry = 0;
+    _pendingOp = StreamOp{};
+    _pendingIssued = 0;
+    _pendingIfetch = false;
+    inlineHits = 0;
+    for (Scalar *s : {&statBusy, &statL2HitStall, &statL2MissStall,
+                      &statIdle, &statInstrs, &statLoads, &statStores,
+                      &statIfetches})
+        s->reset();
 }
 
 void

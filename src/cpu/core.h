@@ -51,6 +51,14 @@ class Core : public SimObject, public MemRspClient
     /** Attach the instruction stream and begin execution. */
     void start(InstrStream *stream);
 
+    /**
+     * Return to the state of a freshly built core with the workload's
+     * @p ilp: execution state, inline-hit count and stats zeroed, any
+     * pending op cancelled. Lets a system start a new run without
+     * rebuilding its cores or re-registering their stats.
+     */
+    void reset(const WorkloadIlp &ilp);
+
     /** True once the stream returned Done. */
     bool done() const { return _done; }
 
@@ -64,8 +72,10 @@ class Core : public SimObject, public MemRspClient
     }
 
     void regStats(StatGroup &parent);
-    /** Detach this core's stat group before the core is destroyed. */
-    void unregStats(StatGroup &parent) { parent.removeChild(&_stats); }
+    /** Detach this core's stat group from @p parent. */
+    void detachStats(StatGroup &parent) { parent.removeChild(&_stats); }
+    /** Append this core's (registered) stat group to @p parent. */
+    void attachStats(StatGroup &parent) { parent.addChild(&_stats); }
 
     /** L1 hits completed inline, with no event (host-side: not a
      *  Scalar, so it stays out of the bit-identical stat tree). */

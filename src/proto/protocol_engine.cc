@@ -1,6 +1,7 @@
 #include "proto/protocol_engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <ostream>
 
 #include "check/trace.h"
@@ -9,13 +10,32 @@
 
 namespace piranha {
 
+namespace {
+
+/** LRECEIVE condition code of local reply @p m. */
+unsigned
+localCc(const IcsMsg &m)
+{
+    return m.type == IcsMsgType::PeReadLocalRsp ? ccLocalReadRsp
+                                                : ccLocalDone;
+}
+
+} // namespace
+
 ProtocolEngine::ProtocolEngine(EventQueue &eq, std::string name,
                                const EngineConfig &cfg, const Clock &clk,
                                IntraChipSwitch &ics, int my_port)
     : SimObject(eq, std::move(name)), _cfg(cfg), _clk(clk), _ics(ics),
       _myPort(my_port), _tsrf(cfg.tsrfEntries),
-      _cmiTargets(cfg.tsrfEntries), _stats(this->name())
+      _cmiTargets(cfg.tsrfEntries), _earlyLocal(cfg.tsrfEntries),
+      _allMask(cfg.tsrfEntries >= 64
+                   ? ~std::uint64_t(0)
+                   : (std::uint64_t(1) << cfg.tsrfEntries) - 1),
+      _stats(this->name())
 {
+    if (cfg.tsrfEntries > 64)
+        fatal("%s: %u TSRF entries requested; at most 64 are supported",
+              this->name().c_str(), cfg.tsrfEntries);
 }
 
 void
@@ -48,9 +68,9 @@ ProtocolEngine::installProgram(MicroProgram prog,
 void
 ProtocolEngine::debugDump(std::ostream &os) const
 {
-    for (const auto &t : _tsrf) {
-        if (!t.valid)
-            continue;
+    for (std::uint64_t w = _validMask; w; w &= w - 1) {
+        const TsrfEntry &t =
+            _tsrf[static_cast<std::size_t>(std::countr_zero(w))];
         os << "  " << name() << " tsrf addr=" << std::hex << t.addr
            << std::dec << " pc=" << t.pc << " wait="
            << static_cast<int>(t.wait) << " mask=" << std::hex
@@ -71,19 +91,21 @@ ProtocolEngine::debugDump(std::ostream &os) const
 bool
 ProtocolEngine::idle() const
 {
-    for (const auto &t : _tsrf)
-        if (t.valid)
-            return false;
-    return _globalQueue.empty();
+    return _validMask == 0 && _globalQueue.empty();
 }
 
 TsrfEntry *
 ProtocolEngine::freeEntry()
 {
-    for (auto &t : _tsrf)
-        if (!t.valid)
-            return &t;
-    return nullptr;
+    std::uint64_t free = _allMask & ~_validMask;
+    return free ? &_tsrf[static_cast<std::size_t>(std::countr_zero(free))]
+                : nullptr;
+}
+
+std::uint64_t
+ProtocolEngine::bit(const TsrfEntry &t) const
+{
+    return std::uint64_t(1) << (&t - _tsrf.data());
 }
 
 TsrfEntry *
@@ -158,15 +180,31 @@ ProtocolEngine::icsDeliver(const IcsMsg &msg)
       case IcsMsgType::PeWbAck: {
         // Local replies match by transaction id: secondary threads
         // (invalidations) are not registered in the per-line table.
-        unsigned cc = msg.type == IcsMsgType::PeReadLocalRsp
-                          ? ccLocalReadRsp
-                          : ccLocalDone;
+        unsigned cc = localCc(msg);
         TsrfEntry *t = nullptr;
-        for (auto &cand : _tsrf) {
-            if (cand.valid && cand.wait == TsrfEntry::Wait::Local &&
+        for (std::uint64_t w = _validMask & ~_readyMask; w;
+             w &= w - 1) {
+            TsrfEntry &cand =
+                _tsrf[static_cast<std::size_t>(std::countr_zero(w))];
+            if (cand.wait == TsrfEntry::Wait::Local &&
                 cand.reqId == msg.reqId) {
                 t = &cand;
                 break;
+            }
+        }
+        if (!t) {
+            // With many ready threads, a reply can beat its thread to
+            // the LRECEIVE (the thread is still waiting for its
+            // round-robin turn): hold it in the slot until then.
+            for (std::uint64_t w = _readyMask & ~_earlyMask; w;
+                 w &= w - 1) {
+                std::size_t idx =
+                    static_cast<std::size_t>(std::countr_zero(w));
+                if (_tsrf[idx].reqId == msg.reqId) {
+                    _earlyLocal[idx] = msg;
+                    _earlyMask |= std::uint64_t(1) << idx;
+                    return;
+                }
             }
         }
         if (!t || !((t->waitMask >> cc) & 1))
@@ -187,6 +225,7 @@ ProtocolEngine::resumeWith(TsrfEntry &t, unsigned cc)
 {
     const MicroInstr &instr = _prog.mem[t.pc];
     t.wait = TsrfEntry::Wait::None;
+    _readyMask |= bit(t);
     t.pc = static_cast<std::uint16_t>(instr.next + cc);
     wake();
 }
@@ -209,7 +248,8 @@ ProtocolEngine::spawn(const QMsg &m)
     if (!t)
         panic("%s: spawn without free TSRF", name().c_str());
     *t = TsrfEntry{};
-    t->valid = true;
+    _validMask |= bit(*t);
+    _readyMask |= bit(*t);
     t->started = curTick();
     ++statThreads;
     if (m.isNet) {
@@ -268,8 +308,12 @@ ProtocolEngine::retire(TsrfEntry &t)
                          static_cast<double>(ticksPerNs));
     Addr line = lineNum(t.addr);
     std::size_t idx = static_cast<std::size_t>(&t - _tsrf.data());
-    t.valid = false;
+    if (_earlyMask & bit(t))
+        panic("%s: local reply %s orphaned at retire", name().c_str(),
+              icsMsgTypeName(_earlyLocal[idx].type));
     t.wait = TsrfEntry::Wait::None;
+    _validMask &= ~bit(t);
+    _readyMask &= ~bit(t);
     const std::size_t *aidx = _active.find(line);
     bool was_primary = aidx && *aidx == idx;
     if (was_primary)
@@ -318,9 +362,7 @@ ProtocolEngine::tryConsumeQueued(TsrfEntry &t, bool net_side)
             continue;
         unsigned cc = m.isNet
                           ? static_cast<unsigned>(m.net.type)
-                          : (m.local.type == IcsMsgType::PeReadLocalRsp
-                                 ? ccLocalReadRsp
-                                 : ccLocalDone);
+                          : localCc(m.local);
         if (!((t.waitMask >> cc) & 1))
             continue;
         if (m.isNet)
@@ -365,22 +407,18 @@ ProtocolEngine::step()
 {
     PIR_PROF(Engine);
     _stepScheduled = false;
-    // Pick the next ready thread, round-robin (the hardware's
-    // even/odd interleaved fetch achieves the same one-instruction-
-    // per-cycle throughput across threads).
-    TsrfEntry *ready = nullptr;
-    for (std::size_t i = 0; i < _tsrf.size(); ++i) {
-        std::size_t idx = (_rrNext + i) % _tsrf.size();
-        if (_tsrf[idx].valid &&
-            _tsrf[idx].wait == TsrfEntry::Wait::None) {
-            ready = &_tsrf[idx];
-            _rrNext = (idx + 1) % _tsrf.size();
-            break;
-        }
-    }
-    if (!ready)
+    // Pick the next ready thread, round-robin from _rrNext (the
+    // hardware's even/odd interleaved fetch achieves the same one-
+    // instruction-per-cycle throughput across threads): the first
+    // ready slot at or above _rrNext, else the lowest ready slot.
+    if (!_readyMask)
         return;
-    executeOne(*ready);
+    std::uint64_t above = _readyMask >> _rrNext;
+    std::size_t idx =
+        above ? _rrNext + static_cast<std::size_t>(std::countr_zero(above))
+              : static_cast<std::size_t>(std::countr_zero(_readyMask));
+    _rrNext = idx + 1 == _tsrf.size() ? 0 : idx + 1;
+    executeOne(_tsrf[idx]);
     _stepScheduled = true;
     scheduleStep(_clk.cycles(1));
 }
@@ -427,13 +465,28 @@ ProtocolEngine::executeOne(TsrfEntry &t)
       }
       case MicroOp::RECEIVE:
         t.waitMask = instr->waitMask;
-        if (!tryConsumeQueued(t, true))
+        if (!tryConsumeQueued(t, true)) {
             t.wait = TsrfEntry::Wait::Net;
+            _readyMask &= ~bit(t);
+        }
         break;
       case MicroOp::LRECEIVE:
         t.waitMask = instr->waitMask;
-        if (!tryConsumeQueued(t, false))
+        if (_earlyMask & bit(t)) {
+            // The reply arrived while this thread was still ready.
+            _earlyMask &= ~bit(t);
+            const IcsMsg &m = _earlyLocal[static_cast<std::size_t>(
+                &t - _tsrf.data())];
+            unsigned cc = localCc(m);
+            if (!((t.waitMask >> cc) & 1))
+                panic("%s: unmatched local reply %s", name().c_str(),
+                      icsMsgTypeName(m.type));
+            t.local = m;
+            t.pc = static_cast<std::uint16_t>(instr->next + cc);
+        } else if (!tryConsumeQueued(t, false)) {
             t.wait = TsrfEntry::Wait::Local;
+            _readyMask &= ~bit(t);
+        }
         break;
     }
 }

@@ -11,7 +11,11 @@
  * an output controller. Execution is interleaved across threads at
  * one instruction per engine cycle (the even/odd thread interleave of
  * the hardware is modeled as round-robin over ready threads at the
- * same throughput).
+ * same throughput). The engine keeps a valid and a ready bit per TSRF
+ * entry (ready: valid and not waiting for a message), so picking the
+ * next thread, finding a free entry and matching a local reply look
+ * at set bits instead of scanning the register file; this bounds the
+ * TSRF at 64 entries.
  *
  * Transactions are serialized per line at the engine: a message for a
  * line with an active thread is either matched to that thread (if it
@@ -175,6 +179,8 @@ class ProtocolEngine : public SimObject, public IcsClient
     void spawnOrQueue(QMsg &&m);
     void spawn(const QMsg &m);
     TsrfEntry *freeEntry();
+    /** @p t's bit in _validMask and _readyMask. */
+    std::uint64_t bit(const TsrfEntry &t) const;
     TsrfEntry *activeFor(Addr addr);
     bool tryConsumeQueued(TsrfEntry &t, bool net_side);
     /** The line's message queue, taken from the pool if it has none. */
@@ -197,6 +203,11 @@ class ProtocolEngine : public SimObject, public IcsClient
     // chain c visits targets c, c + chains, c + 2 * chains, ... Kept
     // here, not in the entry, so spawns reuse the storage.
     std::vector<std::vector<NodeId>> _cmiTargets;
+    // Per TSRF slot: a local reply that arrived while its thread was
+    // still ready (before its LRECEIVE); bit i of _earlyMask marks
+    // slot i as holding one.
+    std::vector<IcsMsg> _earlyLocal;
+    std::uint64_t _earlyMask = 0;
     LineTable<std::size_t> _active; //!< line -> thread
     /** Messages queued behind a line's active transaction. A line
      *  has a queue only while it holds messages; drained queues go
@@ -204,6 +215,13 @@ class ProtocolEngine : public SimObject, public IcsClient
     LineTable<RingBuffer<QMsg> *> _lineQueue;
     RecyclePool<RingBuffer<QMsg>> _queuePool;
     RingBuffer<QMsg> _globalQueue;
+    // One bit per TSRF slot: valid (the slot holds a thread), and
+    // ready (valid and wait == None). Updated wherever a thread starts,
+    // ends or changes wait: spawn, retire, resumeWith and the
+    // RECEIVE/LRECEIVE arms of executeOne.
+    std::uint64_t _allMask;
+    std::uint64_t _validMask = 0;
+    std::uint64_t _readyMask = 0;
     bool _stepScheduled = false;
     std::size_t _rrNext = 0;
     EventPool<StepEvent> _stepEvents;

@@ -24,10 +24,10 @@
 
 namespace piranha {
 
-/** One TSRF entry / microcode thread. */
+/** One TSRF entry / microcode thread. Which entries are in use is
+ *  kept by the engine (ProtocolEngine's valid mask). */
 struct TsrfEntry
 {
-    bool valid = false;
     Addr addr = 0;
     std::uint16_t pc = 0;
 

@@ -12,10 +12,13 @@
  * Storage is hybrid (see DESIGN.md "Event kernel"):
  *
  *  - Near future: a power-of-two timing wheel of kNumBuckets buckets,
- *    each spanning 2^kBucketShift ticks (~one 500 MHz cycle). The
+ *    each spanning kBucketTicks (a quarter of a 500 MHz cycle). The
  *    1-8 cycle deltas that dominate simulation land here; insertion
  *    is an O(1) bitmap update plus a tail-backward walk of a sorted
- *    intrusive list that is almost always empty or monotone.
+ *    intrusive list. Buckets are narrow enough that one rarely holds
+ *    two distinct ticks, even at 16 chips, where the chips' events
+ *    fall at sub-cycle offsets of each other, so the walk almost
+ *    never moves.
  *  - Far future (beyond the wheel horizon): a binary min-heap of
  *    (when, seq, Event*) entries. Descheduling leaves a stale heap
  *    entry behind; entries are validated lazily against the event's
@@ -79,6 +82,12 @@ class EventQueue
   public:
     EventQueue() = default;
     ~EventQueue();
+
+    /** Ticks spanned by one timing-wheel bucket. */
+    static constexpr Tick kBucketTicks = Tick(1) << 9;
+    /** Wheel horizon: an event at least this far past the current
+     *  bucket's start goes to the far-future heap. */
+    static constexpr Tick kHorizonTicks = 1024 * kBucketTicks;
 
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
@@ -233,11 +242,16 @@ class EventQueue
     }
 
   private:
-    // Wheel geometry: 256 buckets of 2^11 ticks (~1 cycle at 500 MHz)
-    // cover a horizon of 2^19 ticks (~524 ns) ahead of curTick.
-    static constexpr unsigned kBucketShift = 11;
-    static constexpr std::size_t kNumBuckets = 256;
+    // Wheel geometry: 1024 buckets of 2^9 ticks (a quarter cycle at
+    // 500 MHz) cover a horizon of 2^19 ticks (~524 ns) ahead of
+    // curTick (DESIGN.md "Event kernel").
+    static constexpr unsigned kBucketShift =
+        static_cast<unsigned>(std::countr_zero(kBucketTicks));
+    static constexpr std::size_t kNumBuckets =
+        static_cast<std::size_t>(kHorizonTicks / kBucketTicks);
     static constexpr std::size_t kOccWords = kNumBuckets / 64;
+    static_assert(std::has_single_bit(kBucketTicks) &&
+                  std::has_single_bit(kNumBuckets) && kOccWords > 0);
 
     // Sequence bands: normal events draw from [kNormalSeqBase, 2^64),
     // priority events from [0, kNormalSeqBase). Both bands are

@@ -122,23 +122,15 @@ PiranhaSystem::run(Workload &wl, std::uint64_t work_per_cpu,
                    Tick max_time, const std::function<bool()> &should_abort)
 {
     unsigned ncpus = totalCpus();
-    CoreParams cp = _cfg.core;
-    cp.ilp = wl.ilp();
-    // The OOO parameters live in the cores; rebuild with the
-    // workload's ILP (cores are cheap). The stat tree holds raw
-    // pointers into the cores, so detach before destroying and
-    // re-register the replacements.
+    // The OOO parameters live in the cores; reset them in place with
+    // the workload's ILP. Their stat groups move behind every other
+    // child of the system group, in core order, so the stat tree
+    // reads the same after any run.
     for (auto &core : _cores)
-        core->unregStats(_stats);
-    _cores.clear();
-    for (unsigned n = 0; n < _cfg.nodes; ++n) {
-        for (unsigned c = 0; c < _cfg.cpusPerChip; ++c) {
-            _cores.push_back(std::make_unique<Core>(
-                _eq, strFormat("node%u.cpu%u", n, c),
-                _chips[n]->clock(), _chips[n]->dl1(c),
-                _chips[n]->il1(c), cp));
-            _cores.back()->regStats(_stats);
-        }
+        core->detachStats(_stats);
+    for (auto &core : _cores) {
+        core->reset(wl.ilp());
+        core->attachStats(_stats);
     }
     _streams.clear();
     for (unsigned i = 0; i < ncpus; ++i) {

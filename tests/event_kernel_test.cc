@@ -22,11 +22,11 @@
 namespace piranha {
 namespace {
 
-// Wheel geometry mirrored from event_queue.h: 256 buckets of 2^11
-// ticks. Deltas below the horizon are filed in the wheel, at or above
-// it in the far-future heap.
-constexpr Tick kBucket = Tick(1) << 11;
-constexpr Tick kHorizon = 256 * kBucket;
+// Wheel geometry, read from the kernel. Deltas below the horizon are
+// filed in the wheel, at or above it in the far-future heap.
+constexpr Tick kBucket = EventQueue::kBucketTicks;
+constexpr Tick kHorizon = EventQueue::kHorizonTicks;
+constexpr Tick kBuckets = kHorizon / kBucket;
 
 /** Appends its id to a shared log when it fires. */
 class LogEvent : public Event
@@ -66,12 +66,13 @@ TEST(EventKernel, OrderPreservedAtWheelHorizonBoundary)
 {
     EventQueue eq;
     std::vector<int> log;
-    // Delta of 255 buckets lands in the wheel's last reachable
-    // bucket (wrap-around index); 256 buckets goes to the heap.
+    // A delta of one bucket less than the wheel lands in its last
+    // reachable bucket (wrap-around index); the full horizon goes to
+    // the heap.
     LogEvent lastBucket(&log, 1), firstHeap(&log, 2), far(&log, 3);
-    eq.scheduleIn(lastBucket, 255 * kBucket);
-    eq.scheduleIn(firstHeap, 256 * kBucket);
-    eq.scheduleIn(far, 256 * kBucket + 1);
+    eq.scheduleIn(lastBucket, (kBuckets - 1) * kBucket);
+    eq.scheduleIn(firstHeap, kHorizon);
+    eq.scheduleIn(far, kHorizon + 1);
     EXPECT_TRUE(eq.run());
     EXPECT_EQ(log, (std::vector<int>{1, 2, 3}));
 }
@@ -80,23 +81,23 @@ TEST(EventKernel, WheelWrapAroundKeepsTickOrder)
 {
     EventQueue eq;
     std::vector<int> log;
-    // March time forward so bucket indices wrap the 256-entry wheel
-    // several times; events scheduled at mixed deltas must still fire
-    // in global tick order.
+    // March time forward so bucket indices wrap the wheel several
+    // times; events scheduled at mixed deltas must still fire in
+    // global tick order.
     std::vector<std::unique_ptr<LogEvent>> events;
     int id = 0;
     Tick when = 0;
     std::vector<std::pair<Tick, int>> expected;
     for (int lap = 0; lap < 10; ++lap) {
-        when += 200 * kBucket + 37; // crosses the wrap point each lap
+        when += kBuckets * 25 / 32 * kBucket + 37; // wraps each lap
         events.push_back(std::make_unique<LogEvent>(&log, id));
         eq.schedule(*events.back(), when);
         expected.push_back({when, id});
         ++id;
         // A nearer event inserted later must still fire earlier.
         events.push_back(std::make_unique<LogEvent>(&log, id));
-        eq.schedule(*events.back(), when - 50 * kBucket);
-        expected.push_back({when - 50 * kBucket, id});
+        eq.schedule(*events.back(), when - kBuckets / 5 * kBucket);
+        expected.push_back({when - kBuckets / 5 * kBucket, id});
         ++id;
     }
     std::stable_sort(expected.begin(), expected.end(),
@@ -430,7 +431,7 @@ runScript(std::uint64_t seed)
             switch (rng.below(4)) {
               case 0: delta = rng.below(3) * 2000; break;       // hot
               case 1: delta = rng.below(4096); break;           // sub-bucket
-              case 2: delta = 512000 + rng.below(20) * 1000; break; // boundary
+              case 2: delta = kHorizon - 12288 + rng.below(20) * 1000; break; // boundary
               default: delta = 600000 + rng.below(100) * 1000; break; // far
             }
             spawn(q->curTick() + delta, depthOf[id] + 1);
@@ -443,6 +444,64 @@ runScript(std::uint64_t seed)
     res.end = queue.curTick();
     res.executed = queue.executed();
     return res;
+}
+
+/**
+ * Clock-edge traffic as a 16-chip system makes it: six sources step
+ * at 1000 or 2000 ticks from start offsets that are not multiples of
+ * a bucket, so one bucket holds the edges of several sources. Each
+ * firing files its successor and, on some steps, a priority event at
+ * its own tick (a network arrival flush, which must run ahead of the
+ * tick's pending normal events) or at its successor's tick, and a
+ * same-tick normal event.
+ */
+template <class Queue>
+ScriptResult
+runInterleaved()
+{
+    constexpr int kSources = 6;
+    constexpr int kSteps = 300;
+    ScriptResult res;
+    std::vector<int> sourceOf; // id -> source, -1 for extras
+    int steps[kSources] = {};
+    Queue *q = nullptr;
+    auto spawn = [&](Tick when, int src, bool prio) {
+        int id = static_cast<int>(sourceOf.size());
+        sourceOf.push_back(src);
+        q->schedule(when, id, prio, false);
+    };
+    Queue queue([&](int id) {
+        res.log.push_back(id);
+        int src = sourceOf[id];
+        if (src < 0 || ++steps[src] > kSteps)
+            return;
+        Tick now = q->curTick();
+        Tick next = now + (src % 2 ? 2000 : 1000);
+        spawn(next, src, false);
+        if (steps[src] % 3 == 0)
+            spawn(now, -1, true);
+        if (steps[src] % 4 == 0)
+            spawn(next, -1, true);
+        if (steps[src] % 5 == 0)
+            spawn(now, -1, false);
+    });
+    q = &queue;
+    for (int s = 0; s < kSources; ++s)
+        spawn(static_cast<Tick>(s) * 333, s, false);
+    queue.run();
+    res.end = queue.curTick();
+    res.executed = queue.executed();
+    return res;
+}
+
+TEST(EventKernel, SubCycleClockEdgesMatchReferenceOrder)
+{
+    ScriptResult ref = runInterleaved<RefQueue>();
+    ScriptResult got = runInterleaved<KernelQueue>();
+    ASSERT_GT(ref.log.size(), 6u * 300u);
+    EXPECT_EQ(ref.log, got.log);
+    EXPECT_EQ(ref.end, got.end);
+    EXPECT_EQ(ref.executed, got.executed);
 }
 
 TEST(EventKernel, RandomizedOrderMatchesLegacyKernel)

@@ -158,5 +158,69 @@ TEST(Microcode, TsrfOccupancyBounded)
         EXPECT_EQ(sys.load(1, 0, addrs[i]), i);
 }
 
+/**
+ * Reads @p lines lines homed at node 0 from every L1 (data and
+ * instruction) of nodes 1-4 at once, with @p tsrf entries per engine:
+ * up to 64 concurrent home transactions. All must complete with the
+ * right values. @return the home engine's tsrf_full count.
+ */
+double
+homeBurst(unsigned tsrf, unsigned lines)
+{
+    constexpr unsigned kL1s = 4 * 8 * 2;
+    ChipParams p;
+    p.tsrfEntries = tsrf;
+    TestSystem sys(5, 8, p);
+    std::vector<Addr> addrs;
+    Addr a = 0xA000000;
+    for (unsigned i = 0; i < kL1s * lines; ++i) {
+        a += 1ULL << sys.amap.pageShift;
+        while (sys.amap.home(a) != 0)
+            a += 1ULL << sys.amap.pageShift;
+        addrs.push_back(a);
+        sys.chips[0]->memory().poke64(a, i);
+    }
+    std::vector<std::uint64_t> got(addrs.size(), ~0ull);
+    for (unsigned i = 0; i < addrs.size(); ++i) {
+        unsigned l1 = i % kL1s;
+        PiranhaChip &chip = *sys.chips[1 + l1 / 16];
+        bool ifetch = l1 % 2;
+        MemReq req;
+        req.op = ifetch ? MemOp::Ifetch : MemOp::Load;
+        req.addr = addrs[i];
+        req.size = ifetch ? 4 : 8;
+        L1Cache &l1c = ifetch ? chip.il1(l1 % 16 / 2) : chip.dl1(l1 % 16 / 2);
+        l1c.access(req, [&got, i](const MemRsp &r) { got[i] = r.value; });
+    }
+    sys.settle();
+    for (unsigned i = 0; i < addrs.size(); ++i)
+        EXPECT_EQ(got[i], i) << "read " << i;
+    EXPECT_TRUE(sys.chips[0]->homeEngine().idle());
+    return sys.chips[0]->homeEngine().statTsrfFull.value();
+}
+
+TEST(Microcode, SixtyFourTsrfEntriesAreAllUsable)
+{
+    // 64 L1s reading at once overflow a 32-entry TSRF at the home;
+    // with 64 entries nothing waits, so the upper half of the ready
+    // and valid masks carried threads. With that many ready threads a
+    // thread's round-robin turn comes round more slowly than the L2
+    // answers its PeReadLocal, so replies also arrive before their
+    // thread reaches its LRECEIVE and must be held for it.
+    EXPECT_GT(homeBurst(32, 1), 0.0);
+    EXPECT_EQ(homeBurst(64, 1), 0.0);
+    // Two reads per L1, and a one-entry TSRF that serializes every
+    // home transaction.
+    EXPECT_EQ(homeBurst(64, 2), 0.0);
+    EXPECT_GT(homeBurst(1, 1), 0.0);
+}
+
+TEST(MicrocodeDeath, MoreThanSixtyFourTsrfEntriesIsFatal)
+{
+    ChipParams p;
+    p.tsrfEntries = 65;
+    EXPECT_DEATH({ TestSystem sys(2, 1, p); }, "at most 64");
+}
+
 } // namespace
 } // namespace piranha
