@@ -265,6 +265,12 @@ class StableLineTable
         } else {
             slot = static_cast<std::uint32_t>(_slab.size());
             _slab.grow();
+            // Every slot can come back through erase; keep room for
+            // all of them so erase never allocates. Doubling, not an
+            // exact reserve, keeps the copying linear.
+            if (_free.capacity() < _slab.capacity())
+                _free.reserve(
+                    std::max(_slab.capacity(), 2 * _free.capacity()));
         }
         _index[key] = slot;
         return _slab[slot];
@@ -322,6 +328,7 @@ class StableLineTable
         }
 
         std::size_t size() const { return _size; }
+        std::size_t capacity() const { return _chunks.size() * kChunkSize; }
 
         void
         grow()

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -156,6 +157,100 @@ TEST(Pcg32, UniformCoversRange)
     EXPECT_LT(lo, 0.001);
     EXPECT_GT(hi, 0.999);
     EXPECT_NEAR(sum / n, 0.5, 0.01);
+}
+
+/** Pcg32::geometric as first written, one Bernoulli trial per draw:
+ *  the reference its contract is checked against. */
+std::uint32_t
+bernoulliGeometric(Pcg32 &r, double mean)
+{
+    if (mean <= 1.0)
+        return 1;
+    double p = 1.0 / mean;
+    std::uint32_t n = 1;
+    while (!r.chance(p) && n < 64 * mean)
+        ++n;
+    return n;
+}
+
+enum class DrawPath { Dispatch, Loop, Scan };
+
+std::uint32_t
+drawsBelow(Pcg32 &r, DrawPath path, std::uint64_t threshold,
+           std::uint32_t cap)
+{
+    switch (path) {
+      case DrawPath::Dispatch: return r.drawsUntilBelow(threshold, cap);
+      case DrawPath::Loop: return r.loopUntilBelow(threshold, cap);
+      case DrawPath::Scan:
+        return r.scanUntilBelow(static_cast<std::uint32_t>(threshold), cap);
+    }
+    return 0;
+}
+
+/**
+ * For many (seed, stream) pairs, @p path must return what the
+ * Bernoulli loop returns and leave the generator where it leaves it
+ * (the next four outputs agree). Means 2, 4 and 256 make p * 2^32 an
+ * integer; 1 + 1e-12 makes T = 2^32, past what the scan takes.
+ * Threshold 0 never hits, so the caps run the block and tail paths to
+ * their ends.
+ */
+void
+expectMatchesBernoulli(DrawPath path)
+{
+    const double means[] = {0.5, 1.0, 1.0 + 1e-12, 2.0, 4.0, 256.0,
+                            7.3, 18.0, 300.0, 1e4};
+    const std::uint32_t caps[] = {1, 15, 16, 17, 53};
+    for (std::uint64_t seed = 0; seed < 48; ++seed) {
+        for (std::uint64_t stream : {0ull, 1ull, 0x51ca88d5ull}) {
+            for (double mean : means) {
+                auto t = static_cast<std::uint64_t>(
+                    std::ceil(1.0 / mean * 4294967296.0));
+                if (mean <= 1.0 && path != DrawPath::Dispatch)
+                    continue; // geometric draws nothing
+                if (t > 0xffffffffu && path == DrawPath::Scan)
+                    continue;
+                auto cap = static_cast<std::uint32_t>(std::ceil(64 * mean));
+                Pcg32 ref(seed, stream), got(seed, stream);
+                for (int i = 0; i < 6; ++i) {
+                    std::uint32_t want = bernoulliGeometric(ref, mean);
+                    std::uint32_t have = path == DrawPath::Dispatch
+                                             ? got.geometric(mean)
+                                             : drawsBelow(got, path, t, cap);
+                    ASSERT_EQ(have, want) << "mean " << mean << " seed "
+                                          << seed << " stream " << stream;
+                }
+                for (int i = 0; i < 4; ++i)
+                    ASSERT_EQ(got.next(), ref.next()) << "mean " << mean;
+            }
+            for (std::uint32_t cap : caps) {
+                Pcg32 ref(seed, stream), got(seed, stream);
+                for (std::uint32_t i = 0; i < cap; ++i)
+                    ref.next();
+                ASSERT_EQ(drawsBelow(got, path, 0, cap), cap);
+                for (int i = 0; i < 4; ++i)
+                    ASSERT_EQ(got.next(), ref.next()) << "cap " << cap;
+            }
+        }
+    }
+}
+
+TEST(Pcg32, GeometricMatchesBernoulliLoop)
+{
+    expectMatchesBernoulli(DrawPath::Dispatch);
+}
+
+TEST(Pcg32, LoopUntilBelowMatchesBernoulliLoop)
+{
+    expectMatchesBernoulli(DrawPath::Loop);
+}
+
+TEST(Pcg32, ScanUntilBelowMatchesBernoulliLoop)
+{
+    if (!Pcg32::scanSupported())
+        GTEST_SKIP() << "host lacks AVX-512 F/VL/DQ; the scan never runs";
+    expectMatchesBernoulli(DrawPath::Scan);
 }
 
 TEST(SimObject, NameAndQueueAccess)
